@@ -13,8 +13,10 @@ from .errors import (
     DataError,
     FormatError,
     InvalidInputError,
+    NonFiniteError,
     NotReadyError,
     ParseError,
+    ProducerError,
     StaleWindowError,
     TooShortError,
     TrainingDivergedError,
@@ -35,9 +37,11 @@ __all__ = [
     "FormatError",
     "FrontendConfig",
     "InvalidInputError",
+    "NonFiniteError",
     "NotReadyError",
     "ParseError",
     "ProbabilityVector",
+    "ProducerError",
     "ReneConfig",
     "RingBuffer",
     "SessionConfig",

@@ -266,27 +266,25 @@ def silhouette(points, assignments):
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
-    clusters = np.unique(assignments)
+    clusters, own = np.unique(assignments, return_inverse=True)
     if len(clusters) < 2:
         raise InvalidInputError("silhouette needs at least two clusters")
     diff = points[:, None, :] - points[None, :, :]
     dists = np.sqrt((diff**2).sum(axis=2))
-    n = points.shape[0]
-    scores = np.zeros(n)
-    for i in range(n):
-        own = assignments[i]
-        same = assignments == own
-        n_own = same.sum()
-        if n_own == 1:
-            continue
-        a = dists[i, same].sum() / (n_own - 1)
-        b = min(
-            dists[i, assignments == other].mean()
-            for other in clusters
-            if other != own
-        )
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    rows = np.arange(points.shape[0])
+    members = np.eye(len(clusters))[own]  # one-hot cluster membership, (n, K)
+    sizes = members.sum(axis=0)
+    # sums[i, c]: total distance from point i to the members of cluster c
+    sums = dists @ members
+    n_own = sizes[own]
+    a = sums[rows, own] / np.maximum(n_own - 1, 1)
+    mean_to = sums / sizes
+    mean_to[rows, own] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(len(rows))
+    ok = (n_own > 1) & (denom > 0)
+    scores[ok] = (b[ok] - a[ok]) / denom[ok]
     return scores, float(scores.mean())
 
 

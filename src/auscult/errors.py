@@ -13,6 +13,10 @@ class TooShortError(InvalidInputError):
     """Input has fewer samples/steps than the operation requires."""
 
 
+class NonFiniteError(InvalidInputError):
+    """A value that must be finite holds NaN or an infinity."""
+
+
 class NotReadyError(AuscultError):
     """A streaming read was attempted before enough data arrived.
 
@@ -54,6 +58,11 @@ class TrainingDivergedError(AuscultError):
 
 class DataError(AuscultError):
     """A dataset entry is inconsistent (missing file, out-of-range annotation)."""
+
+
+class ProducerError(AuscultError):
+    """The recording thread of a streaming session stopped before its audio
+    ended. Chained to the exception that stopped it, when there was one."""
 
 
 class StaleWindowError(AuscultError):

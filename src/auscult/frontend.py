@@ -7,6 +7,7 @@ a pure function over immutable inputs, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -147,48 +148,18 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _bit_reversal_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
 def spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT of a real frame, zero-padded to n_fft.
+    """FFT of a real frame, zero-padded to a power-of-two n_fft.
 
     Accepts a single frame (win,) or a batch (B, win); returns complex bins of
-    matching leading shape with n_fft values per frame. The iterative
-    divide-and-conquer butterflies are vectorized over the batch axis.
+    matching leading shape with n_fft values per frame.
     """
     if not _is_power_of_two(n_fft):
         raise InvalidInputError(f"n_fft={n_fft} is not a power of two")
     x = np.asarray(frame, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] > n_fft:
+    if x.shape[-1] > n_fft:
         raise InvalidInputError("frame longer than n_fft")
-    if x.shape[1] < n_fft:
-        x = np.concatenate(
-            [x, np.zeros((x.shape[0], n_fft - x.shape[1]))], axis=1
-        )
-
-    out = x[:, _bit_reversal_permutation(n_fft)].astype(np.complex128)
-    size = 2
-    while size <= n_fft:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(out.shape[0], n_fft // size, size)
-        even = blocks[:, :, :half]
-        odd = blocks[:, :, half:] * twiddle
-        out = np.concatenate([even + odd, even - odd], axis=2).reshape(
-            out.shape[0], n_fft
-        )
-        size *= 2
-    return out[0] if single else out
+    return np.fft.fft(x, n=n_fft, axis=-1)
 
 
 def hz_to_mel(hz) -> np.ndarray | float:
@@ -236,6 +207,18 @@ def build_mel_filterbank(config: FrontendConfig, sample_rate: int) -> MelFilterb
     return MelFilterbank(weights=weights, center_freqs_hz=hz_pts[1:-1])
 
 
+@functools.lru_cache(maxsize=16)
+def _mel_projection(config: FrontendConfig, sample_rate: int):
+    """(window, weights.T) for one front-end setting, built on first use and
+    shared read-only by every later call with the same setting."""
+    window = hamming_window(config.win_samples(sample_rate))
+    fb = build_mel_filterbank(config, sample_rate)
+    weights_t = np.ascontiguousarray(fb.weights.T)
+    window.flags.writeable = False
+    weights_t.flags.writeable = False
+    return window, weights_t
+
+
 def log_mel_spectrogram(
     signal: AudioSignal,
     config: FrontendConfig,
@@ -255,13 +238,12 @@ def log_mel_spectrogram(
 
     emphasized = preemphasize(signal, config.preemphasis_alpha)
     frames = frame_signal(emphasized, config.win_ms, config.hop_ms)
-    frames = frames * hamming_window(win)[None, :]
+    window, weights_t = _mel_projection(config, sr)
+    frames = frames * window[None, :]
 
     bins = spectrum(frames, config.n_fft)[:, : config.n_fft // 2 + 1]
     power = bins.real**2 + bins.imag**2
-
-    fb = build_mel_filterbank(config, sr)
-    log_mel = np.log(power @ fb.weights.T + LOG_FLOOR)
+    log_mel = np.log(power @ weights_t + LOG_FLOOR)
 
     if normalization is not None:
         mean, max_abs = normalization

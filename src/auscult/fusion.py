@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFiniteError
 
 SIMPLEX_TOL = 1e-9
 
@@ -31,6 +31,8 @@ class ProbabilityVector:
         object.__setattr__(self, "label_map", tuple(self.label_map))
         if probs.ndim != 1 or len(probs) != len(self.label_map):
             raise InvalidInputError("probs and label_map lengths differ")
+        if not np.all(np.isfinite(probs)):
+            raise NonFiniteError("probs must be finite")
         if probs.min() < 0 or abs(probs.sum() - 1.0) > SIMPLEX_TOL:
             raise InvalidInputError("probs must be a simplex")
 

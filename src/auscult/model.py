@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import InvalidInputError, ParseError, TooShortError
+from .errors import InvalidInputError, NonFiniteError, ParseError, TooShortError
 from .frontend import AudioSignal, FrontendConfig, LogMelSpectrogram, log_mel_spectrogram
 
 CONV_MODULE_KERNEL = 15
@@ -75,6 +75,8 @@ class ReneOutput:
     embedding: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.probs)):
+            raise NonFiniteError("probs must be finite")
         if self.probs.min() < 0 or abs(self.probs.sum() - 1.0) > 1e-9:
             raise InvalidInputError("probs must be a simplex vector")
 

@@ -27,7 +27,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu_forward(x):
     x = np.asarray(x, dtype=np.float64)
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     return 0.5 * x * (1.0 + t), (x, t)
 
@@ -517,7 +517,10 @@ def load_params(path):
         try:
             (name_len,) = struct.unpack_from("<I", blob, pos)
             pos += 4
-            name = blob[pos : pos + name_len].decode("utf-8")
+            try:
+                name = blob[pos : pos + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("record name is not UTF-8", offset=pos) from None
             pos += name_len
             tag, rank = struct.unpack_from("<BB", blob, pos)
             pos += 2

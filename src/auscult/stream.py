@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotReadyError, StaleWindowError
+from .errors import InvalidInputError, NotReadyError, ProducerError, StaleWindowError
 from .frontend import AudioSignal, FrontendConfig
 from .fusion import ProbabilityVector
 from .model import rene_forward
@@ -184,6 +184,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     rate_factor x real time with drift-correcting deadlines; the consumer
     decodes each scheduled window as soon as it is complete, skipping ahead
     (with a warning) only when the buffer has already overwritten a window.
+    Raises ProducerError if the producer dies before its last unit.
     """
     if frontend_cfg is None:
         frontend_cfg = FrontendConfig()
@@ -195,13 +196,18 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
 
     unit_wall_s = (cfg.frame_unit_ms / 1000.0) / cfg.rate_factor
 
+    failure = []
+
     def produce():
-        t0 = time.perf_counter()
-        for k in range(n_units):
-            delay = t0 + k * unit_wall_s - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            ring.push(samples32[k * unit:(k + 1) * unit])
+        try:
+            t0 = time.perf_counter()
+            for k in range(n_units):
+                delay = t0 + k * unit_wall_s - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                ring.push(samples32[k * unit:(k + 1) * unit])
+        except Exception as exc:  # handed to the consumer, which re-raises it
+            failure.append(exc)
 
     producer = threading.Thread(target=produce, name="recording", daemon=True)
     producer.start()
@@ -211,6 +217,12 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     m = 1
     while m <= total_windows:
         while ring.write_cursor < m * window:
+            # a dead producer's cursor is final, so test it once more
+            if not producer.is_alive() and ring.write_cursor < m * window:
+                raise ProducerError(
+                    f"recording stopped at sample {ring.write_cursor} of "
+                    f"{n_units * unit}"
+                ) from (failure[0] if failure else None)
             time.sleep(POLL_S)
         try:
             data = ring.read_at((m - 1) * window, window)

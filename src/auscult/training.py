@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, NonFiniteError, TrainingDivergedError
 from .model import ReneConfig, init_rene, rene_apply, rene_grad
 
 PT_FLOOR = 1e-12
@@ -190,7 +190,10 @@ def train_toy(
             batch_loss = 0.0
             for idx in chosen:
                 frames, label = dataset.items[idx]
-                out, cache = rene_apply(frames, params, model_cfg)
+                try:
+                    out, cache = rene_apply(frames, params, model_cfg)
+                except NonFiniteError as exc:
+                    raise TrainingDivergedError(step) from exc
                 batch_loss += focal_loss(out.probs, label, train_cfg.gamma)
                 dlogits = focal_loss_grad(out.probs, label, train_cfg.gamma)
                 _tree_add_(grads, rene_grad(dlogits, cache, params, model_cfg))

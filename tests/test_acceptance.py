@@ -538,7 +538,7 @@ def test_criterion_11_metadata_clustering():
     if not path.exists():
         pytest.skip("data/icbhi_metadata.csv not present")
     table = impute_median(read_emr_csv(path))
-    z, _, _ = zscore(table.matrix(table.numeric_names))
+    z, _, _ = zscore(table.matrix(table.numeric_names()))
     best_k, best = select_k(z, range(2, 21), seed=0)
     if best_k != 13 or abs(best.silhouette_mean - 0.85) > 0.05:
         # preprocessing is underdetermined, so a mismatch is advisory only

@@ -275,6 +275,19 @@ class TestStreamCommands:
         assert set(doc["probs"]) == {"tone", "noise"}
         assert "1 events" in capsys.readouterr().out
 
+    def test_replay_corrupt_params_exits_two(self, tmp_path, model_files):
+        params_path, config_path = model_files
+        raw = bytearray(open(params_path, "rb").read())
+        raw[12:14] = b"\xff\xfe"  # first record name is no longer UTF-8
+        bad = tmp_path / "bad.params"
+        bad.write_bytes(bytes(raw))
+        wav = make_wav(tmp_path / "long.wav", seconds=10.0)
+        code = main([
+            "replay", "--source", wav, "--model", str(bad),
+            "--config", config_path, "--out", str(tmp_path / "e.jsonl"),
+        ])
+        assert code == 2
+
     def test_stream_accelerated(self, tmp_path, model_files, capsys):
         params_path, config_path = model_files
         wav = make_wav(tmp_path / "long.wav", seconds=10.0)

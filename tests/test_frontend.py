@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from auscult import frontend
 from auscult.errors import InvalidInputError, TooShortError
 from auscult.frontend import (
     AudioSignal,
@@ -31,6 +32,35 @@ def naive_dft(x, n_fft):
     n = np.arange(n_fft)
     basis = np.exp(-2j * np.pi * np.outer(n, n) / n_fft)
     return basis @ x
+
+
+def reference_log_mel(x, sr, cfg):
+    # Independent pipeline: preemphasis, Hamming frames and an rfft power
+    # spectrum through triangles drawn bin by bin from the mel formula, then
+    # per-clip min-max scaling.
+    y = np.append(x[0], x[1:] - cfg.preemphasis_alpha * x[:-1])
+    win = int(round(cfg.win_ms * sr / 1000.0))
+    hop = int(round(cfg.hop_ms * sr / 1000.0))
+    window = 0.53836 - 0.46164 * np.cos(2 * np.pi * np.arange(win) / (win - 1))
+    frames = np.array([y[s : s + win] * window
+                       for s in range(0, len(y) - win + 1, hop)])
+    power = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1)) ** 2
+    mel_edges = np.linspace(2595 * np.log10(1 + cfg.f_min_hz / 700),
+                            2595 * np.log10(1 + cfg.f_max_hz / 700),
+                            cfg.n_mels + 2)
+    edges = 700 * (10 ** (mel_edges / 2595) - 1)
+    freqs = np.fft.rfftfreq(cfg.n_fft, 1.0 / sr)
+    fb = np.zeros((cfg.n_mels, len(freqs)))
+    for m in range(cfg.n_mels):
+        lo, center, hi = edges[m : m + 3]
+        for j, f in enumerate(freqs):
+            if lo < f <= center:
+                fb[m, j] = (f - lo) / (center - lo)
+            elif center < f < hi:
+                fb[m, j] = (hi - f) / (hi - center)
+    log_mel = np.log(power @ fb.T + 1e-10)
+    lo, hi = log_mel.min(), log_mel.max()
+    return 2.0 * (log_mel - lo) / (hi - lo) - 1.0
 
 
 def naive_dct_ii(row):
@@ -255,6 +285,49 @@ class TestLogMelSpectrogram:
         a = log_mel_spectrogram(AudioSignal(x, 16000), FrontendConfig())
         b = log_mel_spectrogram(AudioSignal(x.copy(), 16000), FrontendConfig())
         np.testing.assert_array_equal(a.frames, b.frames)
+
+    def test_matches_independent_reference(self):
+        rng = np.random.default_rng(13)
+        t = np.arange(160000) / 16000
+        x = 0.3 * np.sin(2 * np.pi * 440 * t) + rng.uniform(-0.2, 0.2, t.size)
+        cfg = FrontendConfig()
+        spec = log_mel_spectrogram(AudioSignal(x, 16000), cfg)
+        np.testing.assert_allclose(
+            spec.frames, reference_log_mel(x, 16000, cfg), rtol=0, atol=1e-9
+        )
+
+
+class TestMelProjectionCache:
+    def test_read_only_and_per_sample_rate(self):
+        cfg = FrontendConfig()
+        win16, weights16 = frontend._mel_projection(cfg, 16000)
+        win8, weights8 = frontend._mel_projection(cfg, 8000)
+        for arr in (win16, weights16, win8, weights8):
+            assert not arr.flags.writeable
+        assert (len(win16), len(win8)) == (400, 200)
+        np.testing.assert_array_equal(
+            weights16, build_mel_filterbank(cfg, 16000).weights.T
+        )
+        np.testing.assert_array_equal(
+            weights8, build_mel_filterbank(cfg, 8000).weights.T
+        )
+        assert not np.array_equal(weights16, weights8)
+
+    def test_filterbank_built_once_per_setting(self, monkeypatch):
+        built = []
+        real = frontend.build_mel_filterbank
+
+        def counting(config, sample_rate):
+            built.append(sample_rate)
+            return real(config, sample_rate)
+
+        monkeypatch.setattr(frontend, "build_mel_filterbank", counting)
+        frontend._mel_projection.cache_clear()
+        sig = AudioSignal(np.random.default_rng(14).uniform(-0.5, 0.5, 8000), 16000)
+        first = log_mel_spectrogram(sig, FrontendConfig())
+        again = log_mel_spectrogram(sig, FrontendConfig())
+        assert built == [16000]
+        np.testing.assert_array_equal(first.frames, again.frames)
 
 
 class TestMfcc:

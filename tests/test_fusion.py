@@ -43,6 +43,11 @@ class TestProbabilityVector:
         with pytest.raises(InvalidInputError):
             ProbabilityVector(probs=np.array([1.0]), label_map=("a", "b"))
 
+    @pytest.mark.parametrize("probs", [(np.nan, np.nan), (0.5, np.nan)])
+    def test_non_finite_rejected(self, probs):
+        with pytest.raises(InvalidInputError):
+            ProbabilityVector(probs=np.array(probs), label_map=("a", "b"))
+
 
 class TestFuse:
     def test_alpha_one_returns_first_exactly(self):

@@ -286,6 +286,13 @@ class TestReneForward:
                 probs=np.array([0.5, 0.6]), logits=np.zeros(2), embedding=np.zeros(4)
             )
 
+    def test_nan_output_rejected(self):
+        with pytest.raises(InvalidInputError):
+            model.ReneOutput(
+                probs=np.array([np.nan, np.nan]), logits=np.zeros(2),
+                embedding=np.zeros(4),
+            )
+
 
 class TestEndToEndGradient:
     def test_sampled_params_match_finite_differences(self):

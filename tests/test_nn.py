@@ -521,6 +521,16 @@ class TestParamsIo:
         with pytest.raises(FormatError):
             nn.load_params(path)
 
+    def test_non_utf8_record_name_rejected(self, tmp_path):
+        path = tmp_path / "model.params"
+        nn.save_params(path, {"ab": np.zeros(3)})
+        raw = path.read_bytes()
+        assert raw[12:14] == b"ab"  # after magic, version and name length
+        path.write_bytes(raw[:12] + b"\xff\xfe" + raw[14:])
+        with pytest.raises(FormatError) as exc:
+            nn.load_params(path)
+        assert "offset 12" in str(exc.value)
+
     def test_float32_payloads_load(self, tmp_path):
         params = {"w": np.linspace(0, 1, 7, dtype=np.float32)}
         path = tmp_path / "f32.params"

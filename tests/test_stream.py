@@ -6,6 +6,7 @@ float32 storage is exact.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -13,7 +14,12 @@ import numpy as np
 import pytest
 
 import auscult.stream as stream_mod
-from auscult.errors import InvalidInputError, NotReadyError, StaleWindowError
+from auscult.errors import (
+    InvalidInputError,
+    NotReadyError,
+    ProducerError,
+    StaleWindowError,
+)
 from auscult.frontend import AudioSignal
 from auscult.fusion import ProbabilityVector
 from auscult.model import init_rene, preset_config
@@ -127,15 +133,22 @@ class TestRingBuffer:
 
         producer = threading.Thread(target=produce, daemon=True)
         reads = 0
-        producer.start()
-        while not done.is_set() or reads == 0:
-            try:
-                window, _ = ring.read_window(1.0)
-            except NotReadyError:
-                continue
-            assert np.all(np.diff(window) == 1.0), "torn read"
-            reads += 1
-        producer.join()
+        # hand the interpreter lock over often, so the two threads interleave
+        # however long the producer's default 5 ms time slices run
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            producer.start()
+            while not done.is_set() or reads == 0:
+                try:
+                    window, _ = ring.read_window(1.0)
+                except NotReadyError:
+                    continue
+                assert np.all(np.diff(window) == 1.0), "torn read"
+                reads += 1
+            producer.join()
+        finally:
+            sys.setswitchinterval(switch_interval)
         assert reads > 20
 
 
@@ -242,6 +255,43 @@ class TestRunSession:
         assert spans == sorted(spans)
         # the final scheduled window can never be overwritten
         assert spans[-1] == (59 * SR, 60 * SR)
+
+    def test_producer_failure_is_raised(self, monkeypatch):
+        labels = ("a", "b")
+        pushes = []
+        real_push = RingBuffer.push
+
+        def failing_push(self, unit):
+            if len(pushes) == 250:  # two and a half 1 s windows
+                raise OSError("microphone unplugged")
+            pushes.append(1)
+            return real_push(self, unit)
+
+        def fake_decode(samples, sr, params, model_cfg, frontend_cfg, lab):
+            return ProbabilityVector(np.array([0.5, 0.5]), lab)
+
+        monkeypatch.setattr(RingBuffer, "push", failing_push)
+        monkeypatch.setattr(stream_mod, "_decode_window", fake_decode)
+        source = AudioSignal(samples=np.arange(5 * SR, dtype=np.float64),
+                             sample_rate=SR)
+        session = SessionConfig(source=source, window_s=1.0,
+                                buffer_min=0.05, rate_factor=100.0)
+        outcome = []
+
+        def consume():
+            try:
+                run_session(session, None, None, labels=labels)
+            except Exception as exc:
+                outcome.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=10.0)
+        assert not consumer.is_alive()
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], ProducerError)
+        assert isinstance(outcome[0].__cause__, OSError)
+        assert "sample 4000 of 8000" in str(outcome[0])
 
 
 class TestJsonl:
