@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, FormatError, InvalidInputError
 
@@ -44,13 +45,8 @@ def gelu(x):
 
 
 def sigmoid(x):
-    # Split by sign so neither branch exponentiates a large positive value.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh form: never exponentiates, so it cannot overflow for any finite x
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
 def softmax(x, axis=-1):
@@ -123,6 +119,13 @@ def linear_backward(dy, cache):
 
 # --------------------------------------------------------------------- conv1d
 
+def _check_stride_padding(stride, padding):
+    if stride < 1:
+        raise InvalidInputError(f"stride must be at least 1, got {stride}")
+    if padding < 0:
+        raise InvalidInputError(f"padding must be non-negative, got {padding}")
+
+
 def conv1d_forward(x, w, b, stride=1, padding=0):
     """Cross-correlation over time. x: (T, Cin), w: (k, Cin, Cout).
 
@@ -132,24 +135,31 @@ def conv1d_forward(x, w, b, stride=1, padding=0):
     k, kc_in, c_out = w.shape
     if kc_in != c_in:
         raise InvalidInputError(f"kernel expects {kc_in} channels, got {c_in}")
+    _check_stride_padding(stride, padding)
     if t_in + 2 * padding < k:
         raise InvalidInputError("kernel wider than padded input")
     xp = np.pad(x, ((padding, padding), (0, 0)))
     t_out = (t_in + 2 * padding - k) // stride + 1
-    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
-    cols = xp[idx].reshape(t_out, k * c_in)
+    span = stride * (t_out - 1) + 1
+    # column j of each row is tap j: the strided slice of xp starting at j
+    cols = np.empty((t_out, k, c_in))
+    for j in range(k):
+        cols[:, j] = xp[j : j + span : stride]
+    cols = cols.reshape(t_out, k * c_in)
     y = cols @ w.reshape(k * c_in, c_out) + b
-    return y, (cols, idx, w, x.shape, padding)
+    return y, (cols, w, x.shape, stride, padding)
 
 
 def conv1d_backward(dy, cache):
-    cols, idx, w, x_shape, padding = cache
+    cols, w, x_shape, stride, padding = cache
     t_in, c_in = x_shape
     k, _, c_out = w.shape
-    w2 = w.reshape(k * c_in, c_out)
-    dcols = (dy @ w2.T).reshape(-1, k, c_in)
+    t_out = dy.shape[0]
+    span = stride * (t_out - 1) + 1
+    dcols = (dy @ w.reshape(k * c_in, c_out).T).reshape(t_out, k, c_in)
     dxp = np.zeros((t_in + 2 * padding, c_in))
-    np.add.at(dxp, idx, dcols)
+    for j in range(k):
+        dxp[j : j + span : stride] += dcols[:, j]
     dx = dxp[padding : padding + t_in]
     dw = (cols.T @ dy).reshape(k, c_in, c_out)
     return dx, {"w": dw, "b": dy.sum(axis=0)}
@@ -163,24 +173,22 @@ def depthwise_conv1d_forward(x, w, b, padding):
     k, kc = w.shape
     if kc != c:
         raise InvalidInputError(f"depthwise kernel expects {kc} channels, got {c}")
+    _check_stride_padding(1, padding)
     if t_in + 2 * padding < k:
         raise InvalidInputError("kernel wider than padded input")
     xp = np.pad(x, ((padding, padding), (0, 0)))
-    t_out = t_in + 2 * padding - k + 1
-    idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
-    cols = xp[idx]                     # (T_out, k, C)
-    y = (cols * w).sum(axis=1) + b
-    return y, (cols, idx, w, x.shape, padding)
+    y = np.einsum("tck,kc->tc", sliding_window_view(xp, k, axis=0), w) + b
+    return y, (xp, w, padding)
 
 
 def depthwise_conv1d_backward(dy, cache):
-    cols, idx, w, x_shape, padding = cache
-    t_in, c = x_shape
-    dcols = dy[:, None, :] * w
-    dxp = np.zeros((t_in + 2 * padding, c))
-    np.add.at(dxp, idx, dcols)
-    dx = dxp[padding : padding + t_in]
-    dw = (cols * dy[:, None, :]).sum(axis=0)
+    xp, w, padding = cache
+    k = w.shape[0]
+    t_in = xp.shape[0] - 2 * padding
+    # dx is dy, zero-extended by k - 1 steps, correlated with the reversed taps
+    dyp = np.pad(dy, ((k - 1, k - 1), (0, 0)))[padding : padding + t_in + k - 1]
+    dx = np.einsum("tck,kc->tc", sliding_window_view(dyp, k, axis=0), w[::-1])
+    dw = np.einsum("tck,tc->kc", sliding_window_view(xp, k, axis=0), dy)
     return dx, {"w": dw, "b": dy.sum(axis=0)}
 
 
@@ -200,26 +208,25 @@ def depthwise_separable_conv2d_forward(x, dw_kernel, pw_weight, pw_bias):
         raise InvalidInputError("channel counts inconsistent")
     pad = (k - 1) // 2
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    ii = np.arange(h)[:, None, None, None] + np.arange(k)[None, None, :, None]
-    jj = np.arange(w_dim)[None, :, None, None] + np.arange(k)[None, None, None, :]
-    patches = xp[ii, jj]                      # (H, W, k, k, C)
-    spatial = (patches * dw_kernel).sum(axis=(2, 3))
+    patches = sliding_window_view(xp, (k, k), axis=(0, 1))    # (H, W, C, k, k)
+    spatial = np.einsum("hwcab,abc->hwc", patches, dw_kernel)
     y = spatial @ pw_weight + pw_bias
-    return y, (patches, ii, jj, spatial, dw_kernel, pw_weight, x.shape, pad)
+    return y, (patches, spatial, dw_kernel, pw_weight)
 
 
 def depthwise_separable_conv2d_backward(dy, cache):
-    patches, ii, jj, spatial, dw_kernel, pw_weight, x_shape, pad = cache
-    h, w_dim, c = x_shape
-    c_out = pw_weight.shape[1]
+    patches, spatial, dw_kernel, pw_weight = cache
+    k = dw_kernel.shape[0]
+    pad = (k - 1) // 2
+    c, c_out = pw_weight.shape
     d_pw = spatial.reshape(-1, c).T @ dy.reshape(-1, c_out)
     d_bias = dy.reshape(-1, c_out).sum(axis=0)
     d_spatial = dy @ pw_weight.T
-    d_dw = (patches * d_spatial[:, :, None, None, :]).sum(axis=(0, 1))
-    d_patches = d_spatial[:, :, None, None, :] * dw_kernel
-    dxp = np.zeros((h + 2 * pad, w_dim + 2 * pad, c))
-    np.add.at(dxp, (ii, jj), d_patches)
-    dx = dxp[pad : pad + h, pad : pad + w_dim]
+    d_dw = np.einsum("hwcab,hwc->abc", patches, d_spatial)
+    # same padding: dx is d_spatial correlated with the kernel turned 180 degrees
+    dsp = np.pad(d_spatial, ((pad, pad), (pad, pad), (0, 0)))
+    d_patches = sliding_window_view(dsp, (k, k), axis=(0, 1))
+    dx = np.einsum("hwcab,abc->hwc", d_patches, dw_kernel[::-1, ::-1])
     return dx, {"dw_kernel": d_dw, "pw_weight": d_pw, "pw_bias": d_bias}
 
 
@@ -272,73 +279,64 @@ def multi_head_self_attention_backward(dy, cache):
 
 # ------------------------------------------------------------------------ GRU
 
-def _gru_cell_forward(x, h, p):
-    z = sigmoid(x @ p["wz"] + h @ p["uz"] + p["bz"])
-    r = sigmoid(x @ p["wr"] + h @ p["ur"] + p["br"])
-    hn = h @ p["un"]
-    n = np.tanh(x @ p["wn"] + r * hn + p["bn"])
-    h_new = (1.0 - z) * n + z * h
-    return h_new, (x, h, z, r, n, hn)
-
-
-def gru_cell_step(x, h_prev, params):
-    """One GRU update: h_t = (1 - z) * n + z * h_prev."""
-    return _gru_cell_forward(x, h_prev, params)[0]
-
-
-def _gru_cell_backward(dh_new, cache, p, grads):
-    x, h, z, r, n, hn = cache
-    dz = dh_new * (h - n)
-    dn = dh_new * (1.0 - z)
-    dh = dh_new * z
-
-    da_n = dn * (1.0 - n**2)
-    grads["bn"] += da_n
-    grads["wn"] += np.outer(x, da_n)
-    dx = da_n @ p["wn"].T
-    dr = da_n * hn
-    d_hn = da_n * r
-    grads["un"] += np.outer(h, d_hn)
-    dh += d_hn @ p["un"].T
-
-    da_r = dr * r * (1.0 - r)
-    grads["br"] += da_r
-    grads["wr"] += np.outer(x, da_r)
-    grads["ur"] += np.outer(h, da_r)
-    dx += da_r @ p["wr"].T
-    dh += da_r @ p["ur"].T
-
-    da_z = dz * z * (1.0 - z)
-    grads["bz"] += da_z
-    grads["wz"] += np.outer(x, da_z)
-    grads["uz"] += np.outer(h, da_z)
-    dx += da_z @ p["wz"].T
-    dh += da_z @ p["uz"].T
-    return dx, dh
+def _gru_stack(params, prefix):
+    """[prefix z | prefix r | prefix n] side by side along the last axis."""
+    return np.concatenate([params[prefix + g] for g in "zrn"], axis=-1)
 
 
 def gru_sequence_forward(xs, params, h0=None):
+    """GRU over a (T, D) sequence: z and r gates, candidate n, and
+    h_t = (1 - z) * n + z * h_prev. The input projections of every step are
+    one product; each step makes one h @ [Uz|Ur|Un] product."""
     t = xs.shape[0]
     hidden = params["bz"].shape[0]
-    h = np.zeros(hidden) if h0 is None else h0
-    hs = np.empty((t, hidden))
-    caches = []
+    ax = xs @ _gru_stack(params, "w") + _gru_stack(params, "b")   # (T, 3H)
+    u = _gru_stack(params, "u")
+    hs = np.empty((t + 1, hidden))          # hs[i] is the state before step i
+    hs[0] = 0.0 if h0 is None else h0
+    zr = np.empty((t, 2 * hidden))
+    n = np.empty((t, hidden))
+    hn = np.empty((t, hidden))
     for i in range(t):
-        h, cache = _gru_cell_forward(xs[i], h, params)
-        hs[i] = h
-        caches.append(cache)
-    return hs, h, caches
+        hu = hs[i] @ u
+        zr[i] = sigmoid(ax[i, : 2 * hidden] + hu[: 2 * hidden])
+        hn[i] = hu[2 * hidden :]
+        n[i] = np.tanh(ax[i, 2 * hidden :] + zr[i, hidden:] * hn[i])
+        hs[i + 1] = n[i] + zr[i, :hidden] * (hs[i] - n[i])
+    return hs[1:], hs[t].copy(), (xs, hs, zr, n, hn)
 
 
-def gru_sequence_backward(dhs, dh_final, caches, params):
-    t = len(caches)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dxs = np.empty((t, params["wz"].shape[0]))
-    dh = np.zeros_like(dh_final) + dh_final
+def gru_sequence_backward(dhs, dh_final, cache, params):
+    xs, hs, zr, n, hn = cache
+    t, hidden = n.shape
+    h_prev = hs[:-1]
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    # dh_t / d(pre-activation) of each gate, from the forward values alone
+    g_n = (1.0 - z) * (1.0 - n * n)
+    g_z = (h_prev - n) * z * (1.0 - z)
+    g_r = g_n * hn * r * (1.0 - r)
+    # gradient w.r.t. h_prev through [Uz|Ur|Un]; the n gate sees r * (h @ Un)
+    g_u = np.stack([g_z, g_r, g_n * r], axis=1)           # (T, 3, H)
+    u_t = _gru_stack(params, "u").T
+    dh_steps = np.empty((t, hidden))
+    dh = np.array(dh_final, dtype=np.float64)
     for i in reversed(range(t)):
         if dhs is not None:
             dh = dh + dhs[i]
-        dxs[i], dh = _gru_cell_backward(dh, caches[i], params, grads)
+        dh_steps[i] = dh
+        dh = dh * z[i] + (g_u[i] * dh).reshape(-1) @ u_t
+    d_u = (g_u * dh_steps[:, None, :]).reshape(t, 3 * hidden)
+    d_a = d_u.copy()
+    d_a[:, 2 * hidden :] = dh_steps * g_n
+    dxs = d_a @ _gru_stack(params, "w").T
+    d_w = xs.T @ d_a
+    d_uw = h_prev.T @ d_u
+    d_b = d_a.sum(axis=0)
+    grads = {}
+    for j, g in enumerate("zrn"):
+        cols = slice(j * hidden, (j + 1) * hidden)
+        grads["w" + g], grads["u" + g] = d_w[:, cols], d_uw[:, cols]
+        grads["b" + g] = d_b[cols]
     return dxs, grads, dh
 
 

@@ -27,6 +27,17 @@ class TestGelu:
         assert err <= 1e-4
 
 
+class TestSigmoid:
+    def test_extremes_finite_and_symmetric(self):
+        for x in (800.0, -800.0, np.array([-800.0, -30.0, 0.0, 0.3, 800.0])):
+            with np.errstate(all="raise"):
+                s, s_neg = nn.sigmoid(x), nn.sigmoid(-x)
+            assert np.all(np.isfinite(s))
+            assert np.all((s >= 0.0) & (s <= 1.0))
+            np.testing.assert_allclose(s_neg, 1.0 - s, rtol=0, atol=1e-15)
+        assert nn.sigmoid(0.0) == 0.5
+
+
 class TestSoftmax:
     def test_known_value(self):
         np.testing.assert_allclose(
@@ -180,6 +191,13 @@ class TestConv1d:
         with pytest.raises(InvalidInputError):
             nn.conv1d_forward(np.zeros((5, 2)), np.zeros((3, 3, 1)), np.zeros(1), 1, 1)
 
+    @pytest.mark.parametrize("stride,padding", [(0, 1), (-1, 1), (1, -1)])
+    def test_bad_stride_or_padding_rejected(self, stride, padding):
+        with pytest.raises(InvalidInputError):
+            nn.conv1d_forward(
+                np.zeros((8, 1)), np.zeros((3, 1, 1)), np.zeros(1), stride, padding
+            )
+
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 2)])
     def test_gradients(self, stride, padding):
         rng = np.random.default_rng(10 + stride + padding)
@@ -230,6 +248,34 @@ class TestDepthwiseConv1d:
 
         def loss():
             out, _ = nn.depthwise_conv1d_forward(x, p["w"], p["b"], padding=2)
+            return float(np.sum(out * cy))
+
+        dx, grads = nn.depthwise_conv1d_backward(cy, cache)
+        err = nn.grad_check(
+            loss,
+            {"x": x, "w": p["w"], "b": p["b"]},
+            {"x": dx, "w": grads["w"], "b": grads["b"]},
+        )
+        assert err <= 1e-4
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(InvalidInputError):
+            nn.depthwise_conv1d_forward(
+                np.zeros((8, 2)), np.zeros((3, 2)), np.zeros(2), padding=-1
+            )
+
+    @pytest.mark.parametrize("t", [1, 6, 14])
+    def test_gradients_kernel_longer_than_input(self, t):
+        # the conformer's 15-tap kernel with same padding on a short sequence
+        rng = np.random.default_rng(42 + t)
+        x = rng.standard_normal((t, 3))
+        p = nn.init_depthwise_conv1d(rng, 15, 3)
+        y, cache = nn.depthwise_conv1d_forward(x, p["w"], p["b"], padding=7)
+        assert y.shape == (t, 3)
+        cy = rng.standard_normal(y.shape)
+
+        def loss():
+            out, _ = nn.depthwise_conv1d_forward(x, p["w"], p["b"], padding=7)
             return float(np.sum(out * cy))
 
         dx, grads = nn.depthwise_conv1d_backward(cy, cache)
@@ -303,6 +349,26 @@ class TestDepthwiseSeparableConv2d:
         )
         assert err <= 1e-4
 
+    def test_gradients_model_shape(self):
+        # the trial block's largest kernel on the toy model's 16 x 8 map
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((16, 8, 2))
+        p = nn.init_depthwise_separable(rng, 7, 2, 3)
+        y, cache = nn.depthwise_separable_conv2d_forward(
+            x, p["dw_kernel"], p["pw_weight"], p["pw_bias"]
+        )
+        cy = rng.standard_normal(y.shape)
+
+        def loss():
+            out, _ = nn.depthwise_separable_conv2d_forward(
+                x, p["dw_kernel"], p["pw_weight"], p["pw_bias"]
+            )
+            return float(np.sum(out * cy))
+
+        dx, grads = nn.depthwise_separable_conv2d_backward(cy, cache)
+        err = nn.grad_check(loss, {"x": x, **p}, {"x": dx, **grads})
+        assert err <= 1e-4
+
 
 class TestAttention:
     def test_rows_sum_to_one_and_shape(self):
@@ -368,18 +434,23 @@ class TestAttention:
 
 
 class TestGru:
+    @staticmethod
+    def _step(x, h, p):
+        """One GRU update as a length-1 sequence started from state h."""
+        return nn.gru_sequence_forward(x[None], p, h0=h)[1]
+
     def test_zero_params_halve_state(self):
         rng = np.random.default_rng(23)
         p = {k: np.zeros_like(v) for k, v in nn.init_gru(rng, 3, 5).items()}
         h = rng.standard_normal(5)
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(nn.gru_cell_step(x, h, p), 0.5 * h, atol=1e-12)
+        np.testing.assert_allclose(self._step(x, h, p), 0.5 * h, atol=1e-12)
 
     def test_zero_params_zero_state(self):
         rng = np.random.default_rng(24)
         p = {k: np.zeros_like(v) for k, v in nn.init_gru(rng, 3, 5).items()}
         np.testing.assert_array_equal(
-            nn.gru_cell_step(rng.standard_normal(3), np.zeros(5), p), np.zeros(5)
+            self._step(rng.standard_normal(3), np.zeros(5), p), np.zeros(5)
         )
 
     def test_state_stays_bounded(self):
@@ -387,7 +458,7 @@ class TestGru:
         p = nn.init_gru(rng, 4, 6)
         h = rng.uniform(-0.99, 0.99, 6)
         for _ in range(50):
-            h = nn.gru_cell_step(rng.standard_normal(4), h, p)
+            h = self._step(rng.standard_normal(4), h, p)
             assert np.all(np.abs(h) < 1.0)
 
     def test_cell_gradients(self):
@@ -405,6 +476,47 @@ class TestGru:
         flat_p = {**p, "x": xs}
         flat_g = {**grads, "x": dxs}
         assert nn.grad_check(loss, flat_p, flat_g) <= 1e-4
+
+    def test_states_match_per_step_equations(self):
+        rng = np.random.default_rng(44)
+        p = nn.init_gru(rng, 3, 5)
+        for name in ("bz", "br", "bn"):
+            p[name] = rng.standard_normal(5)
+        xs = rng.standard_normal((7, 3))
+        h0 = rng.uniform(-0.9, 0.9, 5)
+        hs, final, _ = nn.gru_sequence_forward(xs, p, h0=h0)
+
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        h = h0
+        for i, x in enumerate(xs):
+            z = sig(x @ p["wz"] + h @ p["uz"] + p["bz"])
+            r = sig(x @ p["wr"] + h @ p["ur"] + p["br"])
+            n = np.tanh(x @ p["wn"] + r * (h @ p["un"]) + p["bn"])
+            h = (1.0 - z) * n + z * h
+            np.testing.assert_allclose(hs[i], h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final, h, rtol=0, atol=1e-12)
+
+    def test_sequence_gradients_with_state_and_step_losses(self):
+        rng = np.random.default_rng(45)
+        p = nn.init_gru(rng, 3, 4)
+        for name in ("bz", "br", "bn"):
+            p[name] = rng.standard_normal(4)
+        xs = rng.standard_normal((6, 3))
+        h0 = rng.uniform(-0.9, 0.9, 4)
+        cys = rng.standard_normal((6, 4))
+        cf = rng.standard_normal(4)
+
+        def loss():
+            hs, final, _ = nn.gru_sequence_forward(xs, p, h0=h0)
+            return float(np.sum(hs * cys) + np.sum(final * cf))
+
+        _, _, cache = nn.gru_sequence_forward(xs, p, h0=h0)
+        dxs, grads, dh0 = nn.gru_sequence_backward(cys, cf, cache, p)
+        flat_p = {**p, "x": xs, "h0": h0}
+        flat_g = {**grads, "x": dxs, "h0": dh0}
+        assert nn.grad_check(loss, flat_p, flat_g) <= 1e-5
 
 
 class TestBigru:
