@@ -62,6 +62,14 @@ def _features_list(text: str):
     return names
 
 
+def _k_range(text: str) -> range:
+    try:
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise InvalidInputError(f"--k-range must be lo:hi, got {text!r}") from None
+    return range(lo, hi + 1)
+
+
 def _load_model(params_path, config_path):
     cfg = load_model_config(config_path)
     params = unflatten_params(load_params(params_path))
@@ -147,8 +155,7 @@ def cmd_cluster(args):
     table, matrix = _emr_features(args.emr, names)
     z, _, _ = emr_mod.zscore(matrix)
     if args.k_range:
-        lo, hi = (int(v) for v in args.k_range.split(":"))
-        k, model = emr_mod.select_k(z, range(lo, hi + 1), seed=args.seed)
+        k, model = emr_mod.select_k(z, _k_range(args.k_range), seed=args.seed)
         print(f"selected k={k}, mean silhouette {model.silhouette_mean:.4f}")
     else:
         model = emr_mod.kmeans_fit(z, args.k, seed=args.seed)

@@ -11,7 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, UndefinedCorrelationError
+from .errors import (
+    InvalidInputError,
+    NonFiniteError,
+    ParseError,
+    UndefinedCorrelationError,
+)
 
 EPS_HESSIAN = 1e-12
 KMEANS_MAX_ITER = 300
@@ -57,7 +62,10 @@ def read_emr_csv(path) -> EmrTable:
     """Header row required; empty cells are missing values. A column is
     numeric when every non-empty cell parses as a float."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise ParseError("empty CSV", line=1)
     header = [h.strip() for h in rows[0]]
@@ -188,8 +196,15 @@ class ClusterModel:
             raise InvalidInputError("silhouette_mean outside [-1, 1]")
 
 
-def _sq_dists(points, centroids):
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+def _sq_dists(a, b):
+    """(n, m) squared distances between the rows of a and b, summed one
+    feature at a time. Never builds the (n, m, d) difference cube; for d < 8
+    the sum is bit-for-bit NumPy's left-to-right sum over that cube's last
+    axis."""
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for f in range(a.shape[1]):
+        out += (a[:, None, f] - b[None, :, f]) ** 2
+    return out
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -208,14 +223,10 @@ def _kmeans_pp_init(points, k, rng):
 
 
 def _lloyd_run(points, centroids):
-    """Lloyd iterations until assignments stabilize; returns the per-iteration
-    inertia history alongside the fit."""
+    """Lloyd iterations until assignments stabilize."""
     assignments = None
-    history = []
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists(points, centroids)
-        new_assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(len(points)), new_assign].sum()))
+        new_assign = _sq_dists(points, centroids).argmin(axis=1)
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -231,7 +242,7 @@ def _lloyd_run(points, centroids):
     d2 = _sq_dists(points, centroids)
     assignments = d2.argmin(axis=1)
     inertia = float(d2[np.arange(len(points)), assignments].sum())
-    return centroids, assignments, inertia, history
+    return centroids, assignments, inertia
 
 
 def kmeans_fit(points, k: int, seed: int = 0, restarts: int = 4) -> ClusterModel:
@@ -245,7 +256,7 @@ def kmeans_fit(points, k: int, seed: int = 0, restarts: int = 4) -> ClusterModel
     best = None
     for _ in range(max(1, restarts)):
         init = _kmeans_pp_init(points, k, rng)
-        centroids, assignments, inertia, _ = _lloyd_run(points, init.copy())
+        centroids, assignments, inertia = _lloyd_run(points, init.copy())
         if best is None or inertia < best[2]:
             best = (centroids, assignments, inertia)
     centroids, assignments, inertia = best
@@ -266,11 +277,14 @@ def silhouette(points, assignments):
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
+    if points.ndim != 2 or assignments.shape != points.shape[:1]:
+        raise InvalidInputError("need an (n, d) point matrix and n assignments")
+    if not np.all(np.isfinite(points)):
+        raise NonFiniteError("points must be finite")
     clusters, own = np.unique(assignments, return_inverse=True)
     if len(clusters) < 2:
         raise InvalidInputError("silhouette needs at least two clusters")
-    diff = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
+    dists = np.sqrt(_sq_dists(points, points))
     rows = np.arange(points.shape[0])
     members = np.eye(len(clusters))[own]  # one-hot cluster membership, (n, K)
     sizes = members.sum(axis=0)
@@ -359,6 +373,10 @@ def smote_oversample(minority, n_synthetic: int, k_neighbors: int = 5, seed: int
     """Each synthetic row is x + u * (nn - x) for a random minority row x, one
     of its k nearest neighbors nn, and u uniform on [0, 1]."""
     minority = np.asarray(minority, dtype=np.float64)
+    if minority.ndim != 2:
+        raise InvalidInputError("minority rows must be an (m, d) matrix")
+    if not np.all(np.isfinite(minority)):
+        raise NonFiniteError("minority rows must be finite")
     m = minority.shape[0]
     if m <= k_neighbors:
         raise InvalidInputError(
@@ -419,30 +437,32 @@ def _fit_tree(x, grad, hess, depth_left, min_samples, gains):
         return leaf
 
     parent_score = g_total**2 / (h_total + EPS_HESSIAN)
-    best_gain = 0.0
-    best = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        gs = np.cumsum(grad[order])
-        hs = np.cumsum(hess[order])
-        for pos in range(n - 1):
-            if xs[pos] == xs[pos + 1]:
-                continue
-            gl, hl = gs[pos], hs[pos]
-            gr, hr = g_total - gl, h_total - hl
-            gain = 0.5 * (
-                gl**2 / (hl + EPS_HESSIAN)
-                + gr**2 / (hr + EPS_HESSIAN)
-                - parent_score
-            )
-            if gain > best_gain:
-                best_gain = gain
-                best = (j, 0.5 * (xs[pos] + xs[pos + 1]))
-    if best is None:
+    # gain[pos, j]: cutting feature j between sorted rows pos and pos + 1,
+    # scored from prefix sums of grad and hess in that feature's order.
+    # float_power squares through pow(), as `**` does on a float64 scalar;
+    # an array's `**2` multiplies instead and can differ in the last bit.
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    gl = np.cumsum(grad[order], axis=0)[:-1]
+    hl = np.cumsum(hess[order], axis=0)[:-1]
+    gr, hr = g_total - gl, h_total - hl
+    gain = 0.5 * (
+        np.float_power(gl, 2) / (hl + EPS_HESSIAN)
+        + np.float_power(gr, 2) / (hr + EPS_HESSIAN)
+        - parent_score
+    )
+    gain[xs[:-1] == xs[1:]] = -np.inf  # no cut between equal values
+    # argmax keeps the first maximum, so ties go to the earliest feature,
+    # then to the earliest cut
+    cut = gain.argmax(axis=0)
+    per_feature = gain[cut, np.arange(x.shape[1])]
+    j = int(per_feature.argmax())
+    best_gain = per_feature[j]
+    if not best_gain > 0.0:
         return leaf
 
-    j, threshold = best
+    pos = cut[j]
+    threshold = 0.5 * (xs[pos, j] + xs[pos + 1, j])
     gains[j] += best_gain
     mask = x[:, j] <= threshold
     return {
@@ -457,12 +477,17 @@ def _fit_tree(x, grad, hess, depth_left, min_samples, gains):
 
 
 def _tree_predict(node, x):
+    """Leaf value per row: index arrays go down the tree, `<=` to the left."""
     out = np.empty(x.shape[0])
-    for i, row in enumerate(x):
-        cur = node
-        while "leaf" not in cur:
-            cur = cur["left"] if row[cur["feature"]] <= cur["threshold"] else cur["right"]
-        out[i] = cur["leaf"]
+    pending = [(node, np.arange(x.shape[0]))]
+    while pending:
+        cur, rows = pending.pop()
+        if "leaf" in cur:
+            out[rows] = cur["leaf"]
+            continue
+        left = x[rows, cur["feature"]] <= cur["threshold"]
+        pending.append((cur["left"], rows[left]))
+        pending.append((cur["right"], rows[~left]))
     return out
 
 
@@ -471,8 +496,14 @@ def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
     splits; per-split gains accumulate into feature_gains."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise InvalidInputError("features and labels misaligned")
+    if x.shape[1] == 0:
+        raise InvalidInputError("need at least one feature column")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("features must be finite")
+    if y.size and y.min() < 0:
+        raise InvalidInputError("labels must be class indices >= 0")
     n_classes = int(y.max()) + 1 if y.size else 0
     if len(np.unique(y)) < 2:
         raise InvalidInputError("need at least two classes")
@@ -506,7 +537,11 @@ def gbdt_decision_scores(model: GbdtModel, rows, n_rounds=None) -> np.ndarray:
         raise InvalidInputError(
             f"expected {model.n_features} features, got {x.shape[1]}"
         )
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("rows must be finite")
     use = model.n_rounds if n_rounds is None else n_rounds
+    if not 0 <= use <= model.n_rounds:
+        raise InvalidInputError(f"n_rounds must lie in [0, {model.n_rounds}], got {use}")
     scores = np.zeros((x.shape[0], model.n_classes))
     for round_trees in model.trees[:use]:
         for c, tree in enumerate(round_trees):

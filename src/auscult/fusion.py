@@ -20,6 +20,14 @@ from .errors import InvalidInputError, NonFiniteError
 SIMPLEX_TOL = 1e-9
 
 
+def _check_simplex(probs: np.ndarray) -> None:
+    """Each row along the last axis must be finite and a simplex."""
+    if not np.all(np.isfinite(probs)):
+        raise NonFiniteError("probs must be finite")
+    if probs.min() < 0 or np.abs(probs.sum(axis=-1) - 1.0).max() > SIMPLEX_TOL:
+        raise InvalidInputError("probs must be a simplex")
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
     probs: np.ndarray
@@ -31,10 +39,7 @@ class ProbabilityVector:
         object.__setattr__(self, "label_map", tuple(self.label_map))
         if probs.ndim != 1 or len(probs) != len(self.label_map):
             raise InvalidInputError("probs and label_map lengths differ")
-        if not np.all(np.isfinite(probs)):
-            raise NonFiniteError("probs must be finite")
-        if probs.min() < 0 or abs(probs.sum() - 1.0) > SIMPLEX_TOL:
-            raise InvalidInputError("probs must be a simplex")
+        _check_simplex(probs)
 
 
 @dataclass(frozen=True)
@@ -115,13 +120,11 @@ def confusion_counts(predictions, truths, normal_class: int) -> ConfusionCounts:
         raise InvalidInputError("predictions and truths misaligned")
     if predictions.size == 0:
         raise InvalidInputError("empty input")
+    if predictions.min() < 0 or truths.min() < 0:
+        raise InvalidInputError("class indices must be >= 0")
     n_classes = int(max(predictions.max(), truths.max(), normal_class)) + 1
-    correct = np.zeros(n_classes, dtype=np.int64)
-    totals = np.zeros(n_classes, dtype=np.int64)
-    for pred, truth in zip(predictions, truths):
-        totals[truth] += 1
-        if pred == truth:
-            correct[truth] += 1
+    totals = np.bincount(truths, minlength=n_classes)
+    correct = np.bincount(truths[predictions == truths], minlength=n_classes)
     return ConfusionCounts(correct=correct, totals=totals,
                            normal_class=normal_class)
 
@@ -144,13 +147,20 @@ def alpha_sweep(p_rene_set, p_gbdt_set, truths, normal_class: int):
     """Metrics at alpha = 0.0, 0.1, ..., 1.0; eleven (alpha, TaskMetrics) rows."""
     if not (len(p_rene_set) == len(p_gbdt_set) == len(truths)):
         raise InvalidInputError("sample sets misaligned")
+    if not p_rene_set:
+        raise InvalidInputError("empty input")
+    label_map = p_rene_set[0].label_map
+    if any(p.label_map != label_map for p in (*p_rene_set, *p_gbdt_set)):
+        raise InvalidInputError("label maps differ")
+    rene = np.stack([p.probs for p in p_rene_set])
+    gbdt = np.stack([p.probs for p in p_gbdt_set])
     rows = []
     for step in range(11):
         alpha = step / 10.0
-        preds = [
-            predict_class(fuse_probabilities(pr, pg, alpha).probs)
-            for pr, pg in zip(p_rene_set, p_gbdt_set)
-        ]
+        # row for row what fuse_probabilities computes and checks
+        fused = alpha * rene + (1.0 - alpha) * gbdt
+        _check_simplex(fused)
+        preds = fused.argmax(axis=1)  # ties resolve to the lower class index
         metrics = compute_metrics(confusion_counts(preds, truths, normal_class))
         rows.append((alpha, metrics))
     return rows

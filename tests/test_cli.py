@@ -155,6 +155,24 @@ class TestCluster:
         assert code == 0
         assert "selected k=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k_range", ["2", "2:x"])
+    def test_malformed_k_range_exits_two(self, tmp_path, k_range):
+        emr = make_emr(tmp_path / "emr.csv")
+        code = main([
+            "cluster", "--emr", emr, "--features", "age,bmi",
+            "--k-range", k_range, "--out-json", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+
+    def test_non_utf8_table_exits_two(self, tmp_path):
+        path = tmp_path / "emr.csv"
+        path.write_bytes("age,bmi,name\n30,20,Jos\u00e9\n".encode("latin-1"))
+        code = main([
+            "cluster", "--emr", str(path), "--features", "age,bmi", "--k", "2",
+            "--out-json", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+
     def test_coords_needs_three_features(self, tmp_path):
         emr = make_emr(tmp_path / "emr.csv")
         code = main([

@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from auscult import emr
 from auscult.emr import (
     ClusterModel,
     EmrTable,
@@ -32,7 +36,12 @@ from auscult.emr import (
     write_correlation_csv,
     zscore,
 )
-from auscult.errors import InvalidInputError, ParseError, UndefinedCorrelationError
+from auscult.errors import (
+    InvalidInputError,
+    NonFiniteError,
+    ParseError,
+    UndefinedCorrelationError,
+)
 
 
 def silhouette_oracle(points, assignments):
@@ -262,6 +271,16 @@ class TestSilhouette:
         with pytest.raises(InvalidInputError):
             silhouette(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError):
+            silhouette(np.zeros((5, 2)), np.array([0, 0, 1, 1]))
+
+    def test_non_finite_point_rejected(self):
+        points = np.arange(8.0).reshape(4, 2)
+        points[2, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            silhouette(points, np.array([0, 0, 1, 1]))
+
 
 class TestSelectK:
     def test_recovers_three_blobs(self):
@@ -415,6 +434,12 @@ class TestSmote:
         with pytest.raises(InvalidInputError):
             smote_oversample(np.zeros((5, 2)), 10, k_neighbors=5)
 
+    def test_non_finite_row_rejected(self):
+        minority = np.random.default_rng(5).standard_normal((8, 2))
+        minority[3, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            smote_oversample(minority, 10, seed=0)
+
 
 def make_separable(n_per_class=100, seed=0):
     rng = np.random.default_rng(seed)
@@ -499,6 +524,10 @@ class TestGbdt:
         with pytest.raises(InvalidInputError):
             gbdt_fit(np.zeros((5, 2)), np.zeros(5, dtype=int))
 
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(InvalidInputError):
+            gbdt_fit(np.zeros((4, 0)), np.array([0, 1, 0, 1]))
+
     def test_dimension_mismatch_rejected(self):
         x, y = make_separable(20)
         model = gbdt_fit(x, y, GbdtParams(n_rounds=2))
@@ -510,6 +539,211 @@ class TestGbdt:
             GbdtParams(learning_rate=0.0)
         with pytest.raises(InvalidInputError):
             GbdtParams(max_depth=0)
+
+    def test_negative_label_rejected(self):
+        x, y = make_separable(10)
+        y[0] = -1
+        with pytest.raises(InvalidInputError):
+            gbdt_fit(x, y, GbdtParams(n_rounds=2))
+
+    def test_non_finite_feature_rejected(self):
+        x, y = make_separable(10)
+        x[4, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            gbdt_fit(x, y, GbdtParams(n_rounds=2))
+
+    def test_round_count_out_of_range_rejected(self):
+        x, y = make_separable(10)
+        model = gbdt_fit(x, y, GbdtParams(n_rounds=3))
+        for n_rounds in (-1, 4):
+            with pytest.raises(InvalidInputError):
+                gbdt_decision_scores(model, x, n_rounds=n_rounds)
+
+    def test_non_finite_row_rejected(self):
+        x, y = make_separable(10)
+        model = gbdt_fit(x, y, GbdtParams(n_rounds=2))
+        with pytest.raises(NonFiniteError):
+            gbdt_predict_proba(model, np.array([0.0, np.nan]))
+
+
+# ------------------------------------------------ whole-array kernel exactness
+
+def scalar_scan_fit_tree(x, grad, hess, depth_left, min_samples, gains):
+    """The split search as a per-cut scalar scan: the reference the
+    prefix-sum search in emr._fit_tree must match bit for bit."""
+    g_total = grad.sum()
+    h_total = hess.sum()
+    leaf = {"leaf": -g_total / (h_total + emr.EPS_HESSIAN)}
+    n = x.shape[0]
+    if depth_left == 0 or n < min_samples:
+        return leaf
+    parent_score = g_total**2 / (h_total + emr.EPS_HESSIAN)
+    best_gain = 0.0
+    best = None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        gs = np.cumsum(grad[order])
+        hs = np.cumsum(hess[order])
+        for pos in range(n - 1):
+            if xs[pos] == xs[pos + 1]:
+                continue
+            gl, hl = gs[pos], hs[pos]
+            gr, hr = g_total - gl, h_total - hl
+            gain = 0.5 * (
+                gl**2 / (hl + emr.EPS_HESSIAN)
+                + gr**2 / (hr + emr.EPS_HESSIAN)
+                - parent_score
+            )
+            if gain > best_gain:
+                best_gain = gain
+                best = (j, 0.5 * (xs[pos] + xs[pos + 1]))
+    if best is None:
+        return leaf
+    j, threshold = best
+    gains[j] += best_gain
+    mask = x[:, j] <= threshold
+    return {
+        "feature": j,
+        "threshold": threshold,
+        "gain": best_gain,
+        "left": scalar_scan_fit_tree(x[mask], grad[mask], hess[mask],
+                                     depth_left - 1, min_samples, gains),
+        "right": scalar_scan_fit_tree(x[~mask], grad[~mask], hess[~mask],
+                                      depth_left - 1, min_samples, gains),
+    }
+
+
+def row_walk_predict(node, x):
+    """Leaf value per row, one row at a time down the tree."""
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        cur = node
+        while "leaf" not in cur:
+            cur = cur["left"] if row[cur["feature"]] <= cur["threshold"] else cur["right"]
+        out[i] = cur["leaf"]
+    return out
+
+
+def reference_fit(x, y, params):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emr, "_fit_tree", scalar_scan_fit_tree)
+        mp.setattr(emr, "_tree_predict", row_walk_predict)
+        return gbdt_fit(x, y, params)
+
+
+def assert_same_booster(fast, ref):
+    # dict == compares every node's feature, threshold, gain and leaf by ==
+    assert fast.trees == ref.trees
+    assert np.array_equal(fast.feature_gains, ref.feature_gains)
+
+
+def tied_table(seed, n=60, d=3, n_classes=3):
+    """Integer-valued features (many ties) with every row present twice."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 5, size=(n // 2, d)).astype(np.float64)
+    y = (x.sum(axis=1).astype(np.int64) + rng.integers(0, 2, size=n // 2)) % n_classes
+    return np.vstack([x, x]), np.concatenate([y, y])
+
+
+def cube_sq_dists(a, b):
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestKernelExactness:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_matches_scalar_scan_on_ties(self, seed):
+        x, y = tied_table(seed)
+        params = GbdtParams(n_rounds=6, max_depth=3)
+        assert_same_booster(gbdt_fit(x, y, params), reference_fit(x, y, params))
+
+    def test_fit_matches_scalar_scan_on_continuous_features(self):
+        x, y = make_blobs([(0.0, 0.0), (2.0, 0.5), (1.0, 2.0)], 40, 0.9, seed=9)
+        params = GbdtParams(n_rounds=8, max_depth=3)
+        assert_same_booster(gbdt_fit(x, y, params), reference_fit(x, y, params))
+
+    def test_split_search_matches_scalar_scan_on_random_gradients(self):
+        # generic gradients give generic squares, where NumPy's scalar `**`
+        # (pow) and an array's `**2` (multiplication) can round differently
+        rng = np.random.default_rng(21)
+        for _ in range(600):
+            x = rng.integers(0, 6, size=(12, 2)).astype(np.float64)
+            grad, hess = rng.standard_normal(12), rng.uniform(0.0, 0.25, 12)
+            fast_gains, ref_gains = np.zeros(2), np.zeros(2)
+            fast = emr._fit_tree(x, grad, hess, 3, 2, fast_gains)
+            assert fast == scalar_scan_fit_tree(x, grad, hess, 3, 2, ref_gains)
+            assert np.array_equal(fast_gains, ref_gains)
+
+    def test_equal_gains_go_to_earliest_feature_then_cut(self):
+        # two identical features, and within each two cuts of equal gain
+        f = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+        x = np.column_stack([f, f])
+        y = np.array([1, 0, 1, 1, 0, 1])
+        params = GbdtParams(n_rounds=2, max_depth=2)
+        fast = gbdt_fit(x, y, params)
+        root = fast.trees[0][0]
+        assert (root["feature"], root["threshold"]) == (0, 0.5)
+        assert_same_booster(fast, reference_fit(x, y, params))
+
+    def test_predict_matches_row_walk_at_thresholds(self):
+        x, y = tied_table(3)
+        model = gbdt_fit(x, y, GbdtParams(n_rounds=4, max_depth=3))
+        # rows lying exactly on split thresholds, where `<=` decides the side
+        thresholds = {}
+
+        def collect(node):
+            if "leaf" not in node:
+                thresholds.setdefault(node["feature"], set()).add(node["threshold"])
+                collect(node["left"])
+                collect(node["right"])
+
+        for round_trees in model.trees:
+            for tree in round_trees:
+                collect(tree)
+        rows = np.repeat(x[:8], 3, axis=0)
+        for j, values in thresholds.items():
+            rows[:, j] = np.resize(sorted(values), len(rows))
+        for tree in (t for rnd in model.trees for t in rnd):
+            assert np.array_equal(emr._tree_predict(tree, rows),
+                                  row_walk_predict(tree, rows))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_sq_dists_matches_difference_cube(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((37, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        b = rng.standard_normal((23, d))
+        assert np.array_equal(emr._sq_dists(a, b), cube_sq_dists(a, b))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_silhouette_matches_difference_cube(self, d):
+        rng = np.random.default_rng(100 + d)
+        points = rng.standard_normal((45, d))
+        labels = rng.integers(0, 4, size=45)
+        scores, mean = silhouette(points, labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(emr, "_sq_dists", cube_sq_dists)
+            ref_scores, ref_mean = silhouette(points, labels)
+        assert np.array_equal(scores, ref_scores) and mean == ref_mean
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 14),
+        d=st.integers(1, 3),
+        n_classes=st.integers(2, 4),
+        max_depth=st.integers(1, 3),
+    )
+    def test_fit_equals_scalar_scan_property(self, data, n, d, n_classes, max_depth):
+        values = st.one_of(
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+            st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+        )
+        x = data.draw(arrays(np.float64, (n, d), elements=values))
+        y = data.draw(arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
+        if len(np.unique(y)) < 2:
+            y[0], y[-1] = 0, 1
+        params = GbdtParams(n_rounds=3, max_depth=max_depth)
+        assert_same_booster(gbdt_fit(x, y, params), reference_fit(x, y, params))
 
 
 class TestTableIo:
@@ -538,6 +772,12 @@ class TestTableIo:
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write_csv(tmp_path / "bad.csv", "a,b\n1,2\n3\n")
         with pytest.raises(ParseError, match="line 3"):
+            read_emr_csv(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("age,name\n30,Jos\u00e9\n".encode("latin-1"))
+        with pytest.raises(ParseError):
             read_emr_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

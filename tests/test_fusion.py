@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from auscult.errors import InvalidInputError
+from auscult.errors import InvalidInputError, NonFiniteError
 from auscult.fusion import (
     ConfusionCounts,
     ProbabilityVector,
@@ -124,6 +124,12 @@ class TestConfusionCounts:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             confusion_counts([], [], 0)
+
+    def test_negative_class_rejected(self):
+        with pytest.raises(InvalidInputError):
+            confusion_counts([0, 1, 1], [0, 1, -1], 0)
+        with pytest.raises(InvalidInputError):
+            confusion_counts([0, -1, 1], [0, 1, 1], 0)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -253,6 +259,48 @@ class TestAlphaSweep:
         p_rene, p_gbdt, truths = make_sweep_inputs(n=10)
         with pytest.raises(InvalidInputError):
             alpha_sweep(p_rene[:5], p_gbdt, truths, 0)
+
+    def test_matches_per_row_fusion_exactly(self):
+        rng = np.random.default_rng(7)
+        labels = tuple(f"c{i}" for i in range(8))
+        truths = rng.integers(0, 8, size=230)
+        truths[:8] = np.arange(8)
+        rene = rng.dirichlet(np.ones(8), size=230)
+        gbdt = rng.dirichlet(np.ones(8) * 0.3, size=230)
+        # exact ties, which the fused argmax must break toward the lower index
+        rene[:20] = gbdt[:20] = [0.25, 0.25, 0.125, 0.125, 0.25, 0.0, 0.0, 0.0]
+        p_rene = [ProbabilityVector(p, labels) for p in rene]
+        p_gbdt = [ProbabilityVector(p, labels) for p in gbdt]
+        expected = []
+        for step in range(11):
+            alpha = step / 10.0
+            preds = [predict_class(fuse_probabilities(a, b, alpha).probs)
+                     for a, b in zip(p_rene, p_gbdt)]
+            expected.append((alpha, compute_metrics(confusion_counts(preds, truths, 0))))
+        assert alpha_sweep(p_rene, p_gbdt, truths, 0) == expected
+
+    def test_label_maps_checked_per_pair(self):
+        p_rene, p_gbdt, truths = make_sweep_inputs(n=10)
+        p_gbdt[4] = ProbabilityVector(p_gbdt[4].probs, ("a", "b", "c"))
+        with pytest.raises(InvalidInputError):
+            alpha_sweep(p_rene, p_gbdt, truths, 0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError):
+            alpha_sweep([], [], [], 0)
+
+    @pytest.mark.parametrize("probs, error", [
+        ([0.5, 0.5, np.nan], NonFiniteError),
+        ([1.5, -0.5, 0.0], InvalidInputError),
+    ])
+    def test_fused_rows_checked_like_fuse_probabilities(self, probs, error):
+        # a vector's array can be written after it was validated
+        p_rene, p_gbdt, truths = make_sweep_inputs(n=10)
+        p_rene[2].probs[:] = probs
+        with pytest.raises(error):
+            fuse_probabilities(p_rene[2], p_gbdt[2], 1.0)
+        with pytest.raises(error):
+            alpha_sweep(p_rene, p_gbdt, truths, 0)
 
 
 class TestAggregate:
