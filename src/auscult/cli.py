@@ -14,6 +14,7 @@ import numpy as np
 
 from . import emr as emr_mod
 from .data import (
+    TARGET_SAMPLE_RATE,
     build_event_dataset,
     load_manifest,
     load_wav,
@@ -40,7 +41,7 @@ from .model import (
     rene_apply,
     save_model_config,
 )
-from .nn import flatten_params, load_params, save_params, unflatten_params
+from .nn import flatten_params, load_params, save_params
 from .stream import (
     SessionConfig,
     replay_offline,
@@ -72,7 +73,7 @@ def _k_range(text: str) -> range:
 
 def _load_model(params_path, config_path):
     cfg = load_model_config(config_path)
-    params = unflatten_params(load_params(params_path))
+    params = load_params(params_path)
     return params, cfg
 
 
@@ -306,7 +307,7 @@ def cmd_stream(args):
             file=sys.stderr,
         )
     if args.out:
-        write_events_jsonl(events, 16000, args.out)
+        write_events_jsonl(events, TARGET_SAMPLE_RATE, args.out)
     print(f"{len(events)} events, {len(warnings)} overruns")
     return 0
 
@@ -317,7 +318,7 @@ def cmd_replay(args):
     events = replay_offline(_session_from_args(args), params, model_cfg,
                             labels=labels)
     if args.out:
-        write_events_jsonl(events, 16000, args.out)
+        write_events_jsonl(events, TARGET_SAMPLE_RATE, args.out)
     print(f"{len(events)} events")
     return 0
 

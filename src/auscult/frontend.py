@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, TooShortError
 
@@ -128,8 +129,8 @@ def hamming_window(n_points: int) -> np.ndarray:
 def frame_signal(signal: AudioSignal, win_ms: float, hop_ms: float) -> np.ndarray:
     """Slice a signal into overlapping frames, no padding.
 
-    Returns a (T, win) matrix where T = floor((L - win) / hop) + 1 and frame i
-    starts at sample i * hop.
+    Returns a read-only (T, win) strided view of the samples, where
+    T = floor((L - win) / hop) + 1 and frame i starts at sample i * hop.
     """
     sr = signal.sample_rate
     win = int(round(win_ms * sr / 1000.0))
@@ -139,13 +140,16 @@ def frame_signal(signal: AudioSignal, win_ms: float, hop_ms: float) -> np.ndarra
         raise TooShortError(
             f"signal of {len(x)} samples is shorter than one {win}-sample window"
         )
-    n_frames = (len(x) - win) // hop + 1
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(win)[None, :]
-    return x[idx]
+    return sliding_window_view(x, win)[::hop]
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def _check_fft_size(frame_len: int, n_fft: int) -> None:
+    if not (n_fft > 0 and (n_fft & (n_fft - 1)) == 0):
+        raise InvalidInputError(f"n_fft={n_fft} is not a power of two")
+    if frame_len > n_fft:
+        raise InvalidInputError(
+            f"frame of {frame_len} samples is longer than n_fft={n_fft}"
+        )
 
 
 def spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -154,11 +158,8 @@ def spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
     Accepts a single frame (win,) or a batch (B, win); returns complex bins of
     matching leading shape with n_fft values per frame.
     """
-    if not _is_power_of_two(n_fft):
-        raise InvalidInputError(f"n_fft={n_fft} is not a power of two")
     x = np.asarray(frame, dtype=np.float64)
-    if x.shape[-1] > n_fft:
-        raise InvalidInputError("frame longer than n_fft")
+    _check_fft_size(x.shape[-1], n_fft)
     return np.fft.fft(x, n=n_fft, axis=-1)
 
 
@@ -232,18 +233,19 @@ def log_mel_spectrogram(
     spectrogram (e.g. digital silence) normalizes to all zeros.
     """
     sr = signal.sample_rate
-    win = config.win_samples(sr)
-    if config.n_fft < win:
-        raise InvalidInputError(f"n_fft={config.n_fft} smaller than window {win}")
+    _check_fft_size(config.win_samples(sr), config.n_fft)
 
     emphasized = preemphasize(signal, config.preemphasis_alpha)
     frames = frame_signal(emphasized, config.win_ms, config.hop_ms)
     window, weights_t = _mel_projection(config, sr)
-    frames = frames * window[None, :]
 
-    bins = spectrum(frames, config.n_fft)[:, : config.n_fft // 2 + 1]
-    power = bins.real**2 + bins.imag**2
-    log_mel = np.log(power @ weights_t + LOG_FLOOR)
+    # the real FFT gives the n_fft // 2 + 1 bins the filterbank spans
+    bins = np.fft.rfft(frames * window, n=config.n_fft, axis=-1)
+    power = bins.real * bins.real
+    power += bins.imag * bins.imag
+    log_mel = power @ weights_t
+    log_mel += LOG_FLOOR
+    np.log(log_mel, out=log_mel)
 
     if normalization is not None:
         mean, max_abs = normalization

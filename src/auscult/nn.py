@@ -9,6 +9,7 @@ are plain dicts of numpy arrays, treated as immutable once built.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -28,9 +29,18 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu_forward(x):
     x = np.asarray(x, dtype=np.float64)
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+    # t = tanh(c * (x + 0.044715 * x^3)) and y = 0.5 * x * (1 + t), built in
+    # two buffers; x itself is held by other caches and is never written
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y, (x, t)
 
 
 def gelu_backward(dy, cache):
@@ -66,11 +76,13 @@ def softmax_backward(dy, y, axis=-1):
 def layer_norm_forward(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return gain * xhat + bias, (xhat, inv_std, gain)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, (xhat, inv_std, gain)
 
 
 def layer_norm_backward(dy, cache):
@@ -89,8 +101,12 @@ def layer_norm_backward(dy, cache):
 
 # -------------------------------------------------------- positional encoding
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_positional_embedding(seq_len: int, dim: int) -> np.ndarray:
-    """Interleaved sin/cos table: (p, 2i) = sin(p / 10000^(2i/dim))."""
+    """Interleaved sin/cos table: (p, 2i) = sin(p / 10000^(2i/dim)).
+
+    Built once per (seq_len, dim) and shared read-only by every caller.
+    """
     if dim % 2 != 0:
         raise InvalidInputError("positional embedding dim must be even")
     pos = np.arange(seq_len, dtype=np.float64)[:, None]
@@ -99,6 +115,7 @@ def sinusoidal_positional_embedding(seq_len: int, dim: int) -> np.ndarray:
     table = np.empty((seq_len, dim))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 
@@ -126,6 +143,15 @@ def _check_stride_padding(stride, padding):
         raise InvalidInputError(f"padding must be non-negative, got {padding}")
 
 
+def _zero_pad(x, pad, n_axes=1):
+    """x with `pad` zeros before and after it along each of its first n_axes
+    axes; np.pad's argument handling costs more than the copy on small arrays."""
+    shape = tuple(n + 2 * pad for n in x.shape[:n_axes]) + x.shape[n_axes:]
+    out = np.zeros(shape, dtype=x.dtype)
+    out[tuple(slice(pad, pad + n) for n in x.shape[:n_axes])] = x
+    return out
+
+
 def conv1d_forward(x, w, b, stride=1, padding=0):
     """Cross-correlation over time. x: (T, Cin), w: (k, Cin, Cout).
 
@@ -138,7 +164,7 @@ def conv1d_forward(x, w, b, stride=1, padding=0):
     _check_stride_padding(stride, padding)
     if t_in + 2 * padding < k:
         raise InvalidInputError("kernel wider than padded input")
-    xp = np.pad(x, ((padding, padding), (0, 0)))
+    xp = _zero_pad(x, padding)
     t_out = (t_in + 2 * padding - k) // stride + 1
     span = stride * (t_out - 1) + 1
     # column j of each row is tap j: the strided slice of xp starting at j
@@ -176,7 +202,7 @@ def depthwise_conv1d_forward(x, w, b, padding):
     _check_stride_padding(1, padding)
     if t_in + 2 * padding < k:
         raise InvalidInputError("kernel wider than padded input")
-    xp = np.pad(x, ((padding, padding), (0, 0)))
+    xp = _zero_pad(x, padding)
     y = np.einsum("tck,kc->tc", sliding_window_view(xp, k, axis=0), w) + b
     return y, (xp, w, padding)
 
@@ -186,7 +212,7 @@ def depthwise_conv1d_backward(dy, cache):
     k = w.shape[0]
     t_in = xp.shape[0] - 2 * padding
     # dx is dy, zero-extended by k - 1 steps, correlated with the reversed taps
-    dyp = np.pad(dy, ((k - 1, k - 1), (0, 0)))[padding : padding + t_in + k - 1]
+    dyp = _zero_pad(dy, k - 1)[padding : padding + t_in + k - 1]
     dx = np.einsum("tck,kc->tc", sliding_window_view(dyp, k, axis=0), w[::-1])
     dw = np.einsum("tck,tc->kc", sliding_window_view(xp, k, axis=0), dy)
     return dx, {"w": dw, "b": dy.sum(axis=0)}
@@ -207,7 +233,7 @@ def depthwise_separable_conv2d_forward(x, dw_kernel, pw_weight, pw_bias):
     if kc != c or pw_weight.shape[0] != c:
         raise InvalidInputError("channel counts inconsistent")
     pad = (k - 1) // 2
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    xp = _zero_pad(x, pad, 2)
     patches = sliding_window_view(xp, (k, k), axis=(0, 1))    # (H, W, C, k, k)
     spatial = np.einsum("hwcab,abc->hwc", patches, dw_kernel)
     y = spatial @ pw_weight + pw_bias
@@ -224,7 +250,7 @@ def depthwise_separable_conv2d_backward(dy, cache):
     d_spatial = dy @ pw_weight.T
     d_dw = np.einsum("hwcab,hwc->abc", patches, d_spatial)
     # same padding: dx is d_spatial correlated with the kernel turned 180 degrees
-    dsp = np.pad(d_spatial, ((pad, pad), (pad, pad), (0, 0)))
+    dsp = _zero_pad(d_spatial, pad, 2)
     d_patches = sliding_window_view(dsp, (k, k), axis=(0, 1))
     dx = np.einsum("hwcab,abc->hwc", d_patches, dw_kernel[::-1, ::-1])
     return dx, {"dw_kernel": d_dw, "pw_weight": d_pw, "pw_bias": d_bias}
@@ -246,8 +272,12 @@ def multi_head_self_attention_forward(x, params, n_heads):
     q = split(x @ params["wq"] + params["bq"])
     k = split(x @ params["wk"] + params["bk"])
     v = split(x @ params["wv"] + params["bv"])
-    scores = q @ k.transpose(0, 2, 1) * scale
-    attn = softmax(scores, axis=-1)
+    # softmax(q k^T * scale) row by row, in the one (heads, T, T) buffer
+    attn = q @ k.transpose(0, 2, 1)
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     ctx = (attn @ v).transpose(1, 0, 2).reshape(t, d)
     y = ctx @ params["wo"] + params["bo"]
     return y, (x, q, k, v, attn, ctx, params, n_heads, scale)

@@ -27,6 +27,9 @@ from .fusion import ProbabilityVector
 from .model import rene_forward
 
 POLL_S = 0.0005
+# a consumer waiting on a live producer whose cursor has not moved for this
+# long (or two unit periods, at slow replay rates) gives up on it
+STALL_S = 5.0
 
 
 class RingBuffer:
@@ -184,7 +187,8 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     rate_factor x real time with drift-correcting deadlines; the consumer
     decodes each scheduled window as soon as it is complete, skipping ahead
     (with a warning) only when the buffer has already overwritten a window.
-    Raises ProducerError if the producer dies before its last unit.
+    Raises ProducerError if the producer dies before its last unit, or
+    stops pushing for STALL_S while the consumer waits.
     """
     if frontend_cfg is None:
         frontend_cfg = FrontendConfig()
@@ -215,7 +219,9 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     events = []
     warnings = []
     m = 1
+    stall_s = max(STALL_S, 2.0 * unit_wall_s)
     while m <= total_windows:
+        seen, seen_at = ring.write_cursor, time.perf_counter()
         while ring.write_cursor < m * window:
             # a dead producer's cursor is final, so test it once more
             if not producer.is_alive() and ring.write_cursor < m * window:
@@ -223,6 +229,14 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
                     f"recording stopped at sample {ring.write_cursor} of "
                     f"{n_units * unit}"
                 ) from (failure[0] if failure else None)
+            now = time.perf_counter()
+            if ring.write_cursor != seen:
+                seen, seen_at = ring.write_cursor, now
+            elif now - seen_at > stall_s:
+                raise ProducerError(
+                    f"recording stalled at sample {seen} of {n_units * unit}: "
+                    f"no audio for {stall_s:g} s"
+                )
             time.sleep(POLL_S)
         try:
             data = ring.read_at((m - 1) * window, window)

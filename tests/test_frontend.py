@@ -137,6 +137,12 @@ class TestFraming:
         with pytest.raises(TooShortError):
             frame_signal(AudioSignal(np.zeros(399), 16000), 25.0, 10.0)
 
+    def test_frames_are_read_only(self):
+        frames = frame_signal(AudioSignal(np.zeros(1200), 16000), 25.0, 10.0)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1.0
+
 
 class TestSpectrum:
     def test_matches_naive_dft(self):
@@ -295,6 +301,39 @@ class TestLogMelSpectrogram:
         np.testing.assert_allclose(
             spec.frames, reference_log_mel(x, 16000, cfg), rtol=0, atol=1e-9
         )
+
+
+def complex_fft_log_mel(x, sr, cfg):
+    # The front end as it stood with a gathered frame matrix and a complex FFT
+    # cut to its first n_fft // 2 + 1 bins.
+    y = np.append(x[0], x[1:] - cfg.preemphasis_alpha * x[:-1])
+    win, hop = cfg.win_samples(sr), cfg.hop_samples(sr)
+    idx = np.arange((len(y) - win) // hop + 1)[:, None] * hop + np.arange(win)
+    frames = y[idx] * hamming_window(win)[None, :]
+    bins = np.fft.fft(frames, n=cfg.n_fft, axis=-1)[:, : cfg.n_fft // 2 + 1]
+    power = bins.real**2 + bins.imag**2
+    log_mel = np.log(power @ build_mel_filterbank(cfg, sr).weights.T + 1e-10)
+    lo, hi = log_mel.min(), log_mel.max()
+    return 2.0 * (log_mel - lo) / (hi - lo) - 1.0
+
+
+class TestRealFftPath:
+    def test_matches_complex_fft_path_and_keeps_input(self):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-0.5, 0.5, 32000)
+        sig = AudioSignal(x, 16000)
+        before = sig.samples.copy()
+        cfg = FrontendConfig()
+        spec = log_mel_spectrogram(sig, cfg)
+        assert np.array_equal(sig.samples, before)
+        np.testing.assert_allclose(
+            spec.frames, complex_fft_log_mel(x, 16000, cfg), rtol=0, atol=1e-12
+        )
+
+    def test_non_power_of_two_n_fft_rejected(self):
+        sig = AudioSignal(np.zeros(16000), 16000)
+        with pytest.raises(InvalidInputError):
+            log_mel_spectrogram(sig, FrontendConfig(n_fft=500))
 
 
 class TestMelProjectionCache:

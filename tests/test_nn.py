@@ -26,6 +26,16 @@ class TestGelu:
         err = nn.grad_check(lambda: float(np.sum(nn.gelu(x) * cy)), {"x": x}, {"x": dx})
         assert err <= 1e-4
 
+    def test_in_place_kernel_matches_expression_and_keeps_input(self):
+        x = np.random.default_rng(40).standard_normal((9, 7)) * 3
+        before = x.copy()
+        y, (x_cached, t) = nn.gelu_forward(x)
+        assert np.array_equal(x, before)
+        t_ref = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+        np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y, 0.5 * x * (1.0 + t_ref), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(x_cached, before)
+
 
 class TestSigmoid:
     def test_extremes_finite_and_symmetric(self):
@@ -104,6 +114,21 @@ class TestLayerNorm:
         )
         assert err <= 1e-4
 
+    def test_in_place_kernel_matches_expression_and_keeps_input(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((5, 16)) * 4 + 2
+        gain, bias = rng.standard_normal(16), rng.standard_normal(16)
+        before = x.copy()
+        y, (xhat, inv_std, gain_cached) = nn.layer_norm_forward(x, gain, bias)
+        assert np.array_equal(x, before)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv_ref = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat_ref = (x - mu) * inv_ref
+        np.testing.assert_allclose(xhat, xhat_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(inv_std, inv_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y, gain * xhat_ref + bias, rtol=0, atol=1e-12)
+        assert gain_cached is gain
+
 
 class TestPositionalEmbedding:
     def test_position_zero(self):
@@ -126,6 +151,13 @@ class TestPositionalEmbedding:
     def test_odd_dim_rejected(self):
         with pytest.raises(InvalidInputError):
             nn.sinusoidal_positional_embedding(4, 7)
+
+    def test_cached_table_is_read_only(self):
+        pe = nn.sinusoidal_positional_embedding(12, 8)
+        assert nn.sinusoidal_positional_embedding(12, 8) is pe
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
 
 
 class TestLinear:
@@ -409,6 +441,29 @@ class TestAttention:
         y, _ = nn.multi_head_self_attention_forward(x, p, 3)
         y_perm, _ = nn.multi_head_self_attention_forward(x[perm], p, 3)
         np.testing.assert_allclose(y_perm, y[perm], atol=1e-9)
+
+    def test_in_place_softmax_matches_expression_and_keeps_inputs(self):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((9, 8)) * 3
+        p = nn.init_attention(rng, 8)
+        before = x.copy()
+        p_before = {name: a.copy() for name, a in p.items()}
+        y, cache = nn.multi_head_self_attention_forward(x, p, 2)
+        assert np.array_equal(x, before)
+        for name, a in p.items():
+            assert np.array_equal(a, p_before[name])
+
+        def split(m):
+            return m.reshape(9, 2, 4).transpose(1, 0, 2)
+
+        q = split(x @ p["wq"] + p["bq"])
+        k = split(x @ p["wk"] + p["bk"])
+        v = split(x @ p["wv"] + p["bv"])
+        attn = nn.softmax(q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(4)), axis=-1)
+        ctx = (attn @ v).transpose(1, 0, 2).reshape(9, 8)
+        np.testing.assert_allclose(cache[4], attn, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache[5], ctx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y, ctx @ p["wo"] + p["bo"], rtol=0, atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(21)

@@ -293,6 +293,47 @@ class TestRunSession:
         assert isinstance(outcome[0].__cause__, OSError)
         assert "sample 4000 of 8000" in str(outcome[0])
 
+    def test_stalled_producer_is_raised(self, monkeypatch):
+        labels = ("a", "b")
+        pushes = []
+        release = threading.Event()
+        real_push = RingBuffer.push
+
+        def blocking_push(self, unit):
+            if len(pushes) == 250:  # a device read that never returns
+                release.wait()
+            pushes.append(1)
+            return real_push(self, unit)
+
+        def fake_decode(samples, sr, params, model_cfg, frontend_cfg, lab):
+            return ProbabilityVector(np.array([0.5, 0.5]), lab)
+
+        monkeypatch.setattr(RingBuffer, "push", blocking_push)
+        monkeypatch.setattr(stream_mod, "_decode_window", fake_decode)
+        monkeypatch.setattr(stream_mod, "STALL_S", 0.5)
+        source = AudioSignal(samples=np.arange(5 * SR, dtype=np.float64),
+                             sample_rate=SR)
+        session = SessionConfig(source=source, window_s=1.0,
+                                buffer_min=0.05, rate_factor=100.0)
+        outcome = []
+
+        def consume():
+            try:
+                run_session(session, None, None, labels=labels)
+            except Exception as exc:
+                outcome.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        try:
+            consumer.start()
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive()
+        finally:
+            release.set()
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], ProducerError)
+        assert "sample 4000 of 8000" in str(outcome[0])
+
 
 class TestJsonl:
     def test_schema(self, tmp_path):
