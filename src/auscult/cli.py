@@ -36,6 +36,7 @@ from .fusion import (
     write_sweep_csv,
 )
 from .model import (
+    check_params,
     load_model_config,
     preset_config,
     rene_apply,
@@ -74,6 +75,7 @@ def _k_range(text: str) -> range:
 def _load_model(params_path, config_path):
     cfg = load_model_config(config_path)
     params = load_params(params_path)
+    check_params(params, cfg, FrontendConfig().n_mels)
     return params, cfg
 
 

@@ -1,6 +1,10 @@
 """Rene architecture: attention encoder -> Conformer encoder -> BiGRU decoder
 -> trial block -> class probabilities.
 
+`_build_rene` is the one description of the architecture's parameters:
+`init_rene` draws the tree from it, and `estimate_parameter_count` and
+`check_params` (a loaded file against its config) read its shapes-only form.
+
 The cached entry points (`rene_apply` / `rene_grad`) carry activations for the
 hand-derived backward pass; the plain functions below them are the pure
 inference surface. Parameters live in a nested dict tree whose shape mirrors
@@ -15,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import InvalidInputError, NonFiniteError, ParseError, TooShortError
+from .errors import (FormatError, InvalidInputError, NonFiniteError, ParseError,
+                     TooShortError)
 from .frontend import AudioSignal, FrontendConfig, LogMelSpectrogram, log_mel_spectrogram
 
 CONV_MODULE_KERNEL = 15
@@ -112,8 +117,9 @@ def most_square_factorization(n: int) -> tuple[int, int]:
 
 # ------------------------------------------------------------- initialization
 
-def init_rene(cfg: ReneConfig, seed: int, n_mels: int = 80) -> dict:
-    rng = np.random.default_rng(seed)
+def _build_rene(cfg: ReneConfig, rng, n_mels: int) -> dict:
+    """The one description of the parameter tree. `rng` draws every weight
+    through numpy's `uniform(low, high, size)`."""
     d, dc = cfg.whisper_dim, cfg.conformer_dim
 
     def ff_params(dim):
@@ -173,53 +179,40 @@ def init_rene(cfg: ReneConfig, seed: int, n_mels: int = 80) -> dict:
     }
 
 
+class _ShapesOnly:
+    """Draw source whose weights are zero-stride views: shapes, no storage."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
+def init_rene(cfg: ReneConfig, seed: int, n_mels: int = 80) -> dict:
+    return _build_rene(cfg, np.random.default_rng(seed), n_mels)
+
+
 def count_parameters(params: dict) -> int:
     return sum(arr.size for arr in nn.flatten_params(params).values())
 
 
 def estimate_parameter_count(cfg: ReneConfig, n_mels: int = 80) -> int:
-    """Analytic parameter tally; allocates nothing (usable for the large preset)."""
-    d, dc, h, c = cfg.whisper_dim, cfg.conformer_dim, cfg.bigru_hidden, cfg.trial_channels
+    """Size of the shapes-only tree; allocates no weights, so it also covers
+    presets too large to instantiate."""
+    return count_parameters(_build_rene(cfg, _ShapesOnly, n_mels))
 
-    def conv1d_n(k, ci, co):
-        return k * ci * co + co
 
-    def lin_n(a, b):
-        return a * b + b
+def _shapes(tree: dict) -> dict:
+    return {name: arr.shape for name, arr in nn.flatten_params(tree).items()}
 
-    def ln_n(dim):
-        return 2 * dim
 
-    def attn_n(dim):
-        return 4 * (dim * dim + dim)
-
-    def ff_n(dim):
-        return ln_n(dim) + lin_n(dim, FF_EXPANSION * dim) + lin_n(FF_EXPANSION * dim, dim)
-
-    encoder = (
-        conv1d_n(3, n_mels, d)
-        + conv1d_n(3, d, d)
-        + cfg.whisper_layers * (ln_n(d) + attn_n(d) + ff_n(d))
-        + ln_n(d)
-    )
-    subsample = 2 * conv1d_n(3, d, d) + lin_n(d, dc)
-    conv_module = ln_n(dc) + lin_n(dc, dc) + (CONV_MODULE_KERNEL * dc + dc) \
-        + ln_n(dc) + lin_n(dc, dc)
-    conformer = cfg.conformer_layers * (
-        2 * ff_n(dc) + ln_n(dc) + attn_n(dc) + conv_module + ln_n(dc)
-    )
-    bigru = 2 * 3 * (dc * h + h * h + h)
-
-    def branch_n(kernels):
-        total = 0
-        for i, k in enumerate(kernels):
-            ci = 1 if i == 0 else c
-            total += k * k * ci + ci * c + c
-        return total
-
-    left, _, right = cfg.trial_kernel_sizes
-    trial = branch_n(left) + branch_n(right) + lin_n(c, cfg.n_classes)
-    return encoder + subsample + conformer + bigru + trial
+def check_params(params: dict, cfg: ReneConfig, n_mels: int = 80) -> None:
+    """Raise FormatError naming the first leaf, in name order, that `params`
+    lacks, that `cfg` lacks, or whose shape differs from the config's."""
+    want, have = _shapes(_build_rene(cfg, _ShapesOnly, n_mels)), _shapes(params)
+    for name in sorted(want.keys() | have.keys()):
+        if have.get(name) != want.get(name):
+            raise FormatError(f"parameter {name}: file gives {have.get(name, 'no leaf')}"
+                              f", config needs {want.get(name, 'no leaf')}")
 
 
 # ------------------------------------------------------------------ sublayers
@@ -328,26 +321,15 @@ def encoder_forward(spec, params, cfg: ReneConfig) -> np.ndarray:
 
 # ---------------------------------------------------------- conformer encoder
 
-def conformer_block_forward(x, block_params, cfg: ReneConfig, trace=None):
+def _conformer_block_apply(x, p, n_heads):
     """One Macaron block: half-step FF, attention, conv module, half-step FF,
-    final layer norm. `trace`, when a dict, collects the running intermediates."""
-    y, _ = _conformer_block_apply(x, block_params, cfg.conformer_heads, trace)
-    return y
-
-
-def _conformer_block_apply(x, p, n_heads, trace=None):
+    final layer norm."""
     f1, c_f1 = _ff_forward(x, p["ff1"])
     x1 = x + 0.5 * f1
-    if trace is not None:
-        trace["after_ff1"] = x1
     a, c_a = _attn_sublayer_forward(x1, p["attn"], n_heads)
     x2 = x1 + a
-    if trace is not None:
-        trace["after_attn"] = x2
     cm, c_c = _conv_module_forward(x2, p["conv"])
     x3 = x2 + cm
-    if trace is not None:
-        trace["after_conv"] = x3
     f2, c_f2 = _ff_forward(x3, p["ff2"])
     x4 = x3 + 0.5 * f2
     y, c_ln = nn.layer_norm_forward(x4, p["ln_final"]["gain"], p["ln_final"]["bias"])
@@ -513,10 +495,6 @@ def rene_grad(dlogits, cache, params, cfg: ReneConfig) -> dict:
             "bigru": g_bigru, "trial": g_trial}
 
 
-def rene_forward_features(frames, params, cfg: ReneConfig) -> ReneOutput:
-    return rene_apply(frames, params, cfg)[0]
-
-
 def rene_forward(
     signal: AudioSignal,
     params,
@@ -527,7 +505,7 @@ def rene_forward(
     """Raw audio to class probabilities through the whole pipeline."""
     fcfg = frontend_config or FrontendConfig()
     spec = log_mel_spectrogram(signal, fcfg, normalization)
-    return rene_forward_features(spec.frames, params, cfg)
+    return rene_apply(spec.frames, params, cfg)[0]
 
 
 # ----------------------------------------------------------------- shape audit

@@ -2,13 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from auscult.cli import main
 from auscult.model import preset_config, save_model_config
-from auscult.nn import flatten_params, save_params
+from auscult.nn import flatten_params, load_params, save_params
 from auscult.training import TrainConfig, train_toy
 from test_data import write_wav
 
@@ -295,7 +296,8 @@ class TestStreamCommands:
 
     def test_replay_corrupt_params_exits_two(self, tmp_path, model_files):
         params_path, config_path = model_files
-        raw = bytearray(open(params_path, "rb").read())
+        with open(params_path, "rb") as fh:
+            raw = bytearray(fh.read())
         raw[12:14] = b"\xff\xfe"  # first record name is no longer UTF-8
         bad = tmp_path / "bad.params"
         bad.write_bytes(bytes(raw))
@@ -305,6 +307,50 @@ class TestStreamCommands:
             "--config", config_path, "--out", str(tmp_path / "e.jsonl"),
         ])
         assert code == 2
+
+    def _replay(self, tmp_path, params_path, config_path):
+        wav = make_wav(tmp_path / "long.wav", seconds=10.0)
+        return main([
+            "replay", "--source", wav, "--model", str(params_path),
+            "--config", str(config_path), "--out", str(tmp_path / "e.jsonl"),
+        ])
+
+    @pytest.mark.parametrize("line, leaf", [
+        ("whisper_dim=128", "encoder.block0.attn.ln.bias"),
+        ("conformer_layers=3", "conformer.block2.attn.ln.bias"),
+        ("n_classes=3", "trial.head.b"),
+        ("whisper_layers=1", "encoder.block1.attn.ln.bias"),
+        ("trial_kernels_left=5,3", "trial.left0.dw_kernel"),
+        ("bigru_hidden=32", "bigru.bwd.bn"),
+    ])
+    def test_replay_config_mismatch_exits_two(self, tmp_path, model_files, capsys,
+                                              line, leaf):
+        params_path, config_path = model_files
+        key = line.split("=")[0] + "="
+        lines = Path(config_path).read_text().splitlines()
+        text = "\n".join(line if row.startswith(key) else row for row in lines)
+        assert text.count(line) == 1
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(text + "\n")
+        assert self._replay(tmp_path, params_path, edited) == 2
+        assert f"parameter {leaf}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, leaf", [
+        ("drop", "subsample.proj.b"),
+        ("add", "trial.right3.pw_bias"),
+    ])
+    def test_replay_params_leaf_mismatch_exits_two(self, tmp_path, model_files,
+                                                   capsys, edit, leaf):
+        params_path, config_path = model_files
+        flat = flatten_params(load_params(params_path))
+        if edit == "drop":
+            del flat[leaf]
+        else:
+            flat[leaf] = np.zeros(8)
+        bad = tmp_path / "bad.params"
+        save_params(bad, flat)
+        assert self._replay(tmp_path, bad, config_path) == 2
+        assert f"parameter {leaf}:" in capsys.readouterr().err
 
     def test_stream_accelerated(self, tmp_path, model_files, capsys):
         params_path, config_path = model_files

@@ -1,8 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auscult import model, nn
-from auscult.errors import InvalidInputError, ParseError, TooShortError
+from auscult.errors import FormatError, InvalidInputError, ParseError, TooShortError
 from auscult.frontend import AudioSignal
 
 
@@ -126,7 +131,8 @@ class TestConformer:
         cfg, bp = self._block_params()
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 64))
-        assert model.conformer_block_forward(x, bp, cfg).shape == (10, 64)
+        y = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
+        assert y.shape == (10, 64)
 
     def test_zero_sublayers_reduce_to_layer_norm(self):
         cfg, bp = self._block_params(9)
@@ -137,15 +143,15 @@ class TestConformer:
         bp["attn"]["mhsa"]["bo"][:] = 0.0
         rng = np.random.default_rng(10)
         x = rng.standard_normal((6, 64))
-        got = model.conformer_block_forward(x, bp, cfg)
+        got = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
         expected, _ = nn.layer_norm_forward(
             x, bp["ln_final"]["gain"], bp["ln_final"]["bias"]
         )
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_half_step_residual(self):
-        # With only FF1 active, the first intermediate must be exactly
-        # x + 0.5 * FF1(x) and the block output its final layer norm.
+        # With only FF1 active, the block output must be exactly the final
+        # layer norm of x + 0.5 * FF1(x).
         cfg, bp = self._block_params(11)
         for path in (bp["ff2"]["lin2"], bp["conv"]["pw2"]):
             path["w"][:] = 0.0
@@ -154,10 +160,8 @@ class TestConformer:
         bp["attn"]["mhsa"]["bo"][:] = 0.0
         rng = np.random.default_rng(12)
         x = rng.standard_normal((5, 64))
-        trace = {}
-        y = model.conformer_block_forward(x, bp, cfg, trace=trace)
+        y = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
         ff1_out, _ = model._ff_forward(x, bp["ff1"])
-        np.testing.assert_allclose(trace["after_ff1"], x + 0.5 * ff1_out, atol=1e-12)
         expected, _ = nn.layer_norm_forward(
             x + 0.5 * ff1_out, bp["ln_final"]["gain"], bp["ln_final"]["bias"]
         )
@@ -260,8 +264,8 @@ class TestReneForward:
         params = model.init_rene(cfg, seed=28)
         rng = np.random.default_rng(29)
         frames = rng.uniform(-1, 1, (60, 80))
-        a = model.rene_forward_features(frames, params, cfg)
-        b = model.rene_forward_features(frames.copy(), params, cfg)
+        a = model.rene_apply(frames, params, cfg)[0]
+        b = model.rene_apply(frames.copy(), params, cfg)[0]
         np.testing.assert_array_equal(a.probs, b.probs)
         np.testing.assert_array_equal(a.logits, b.logits)
 
@@ -270,11 +274,11 @@ class TestReneForward:
         params = model.init_rene(cfg, seed=30)
         rng = np.random.default_rng(31)
         frames = rng.uniform(-1, 1, (40, 80))
-        base = model.rene_forward_features(frames, params, cfg)
+        base = model.rene_apply(frames, params, cfg)[0]
         perm = rng.permutation(4)
         params["trial"]["head"]["w"][:] = params["trial"]["head"]["w"][:, perm]
         params["trial"]["head"]["b"][:] = params["trial"]["head"]["b"][perm]
-        permuted = model.rene_forward_features(frames, params, cfg)
+        permuted = model.rene_apply(frames, params, cfg)[0]
         np.testing.assert_allclose(permuted.probs, base.probs[perm], atol=1e-12)
         assert np.argmax(permuted.probs) == np.argwhere(
             perm == np.argmax(base.probs)
@@ -339,6 +343,99 @@ class TestParameterCount:
         assert large > 100_000_000
 
 
+    @pytest.mark.parametrize("cfg, n_mels, expected", [
+        (model.preset_config("toy"), 80, 393_406),
+        (model.preset_config("toy", n_classes=2), 80, 393_388),
+        (TINY, 5, 4_299),
+        (model.preset_config("rene_s"), 80, 34_230_526),
+        (model.preset_config("rene_l"), 80, 746_969_342),
+    ], ids=["toy", "toy2", "tiny", "rene_s", "rene_l"])
+    def test_pinned_counts(self, cfg, n_mels, expected):
+        assert model.estimate_parameter_count(cfg, n_mels=n_mels) == expected
+
+    def test_large_estimate_allocates_no_weights(self):
+        # a real rene_l tree would take about 5.6 GiB of float64
+        tracemalloc.start()
+        try:
+            model.estimate_parameter_count(model.preset_config("rene_l"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def tree_digest(params):
+    h = hashlib.sha256()
+    for name, arr in nn.flatten_params(params).items():
+        for part in (name, str(arr.dtype), str(arr.shape)):
+            h.update(part.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestInitBitIdentity:
+    @pytest.mark.parametrize("cfg, seed, n_mels, expected", [
+        (model.preset_config("toy"), 0, 80, "cb5b98a763263808"),
+        (model.preset_config("toy", n_classes=2), 0, 80, "6369e603321e365b"),
+        (TINY, 32, 5, "7a53319ade5b26ec"),
+    ], ids=["toy", "toy2", "tiny"])
+    def test_digest(self, cfg, seed, n_mels, expected):
+        assert tree_digest(model.init_rene(cfg, seed, n_mels=n_mels)) == expected
+
+
+def shape_map(params):
+    return {k: v.shape for k, v in nn.flatten_params(params).items()}
+
+
+small_configs = st.builds(
+    model.ReneConfig,
+    whisper_layers=st.integers(1, 2),
+    whisper_dim=st.sampled_from([2, 4]),
+    whisper_heads=st.sampled_from([1, 2]),
+    conformer_layers=st.integers(1, 2),
+    conformer_dim=st.sampled_from([2, 4]),
+    conformer_heads=st.sampled_from([1, 2]),
+    bigru_hidden=st.sampled_from([2, 3]),
+    n_classes=st.integers(2, 3),
+    trial_kernel_sizes=st.sampled_from([((3,), (), (3,)), ((5, 3), (), (3,)),
+                                        ((3,), (), (1, 3))]),
+    trial_channels=st.integers(1, 2),
+)
+
+
+class TestCheckParams:
+    def test_matching_tree_passes(self):
+        model.check_params(model.init_rene(TINY, seed=40, n_mels=5), TINY, n_mels=5)
+
+    def test_missing_leaf_named(self):
+        flat = nn.flatten_params(model.init_rene(TINY, seed=41, n_mels=5))
+        del flat["conformer.block0.conv.dw.b"]
+        with pytest.raises(FormatError, match=r"conformer\.block0\.conv\.dw\.b"):
+            model.check_params(nn.unflatten_params(flat), TINY, n_mels=5)
+
+    def test_extra_leaf_named(self):
+        params = model.init_rene(TINY, seed=42, n_mels=5)
+        params["trial"]["left1"] = {"pw_bias": np.zeros(2)}
+        with pytest.raises(FormatError, match=r"trial\.left1\.pw_bias"):
+            model.check_params(params, TINY, n_mels=5)
+
+    def test_wrong_shape_named(self):
+        params = model.init_rene(TINY, seed=43, n_mels=5)
+        with pytest.raises(FormatError, match=r"encoder\.conv1\.w"):
+            model.check_params(params, TINY, n_mels=6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=small_configs, b=small_configs)
+    def test_raises_exactly_when_shapes_differ(self, a, b):
+        params = model.init_rene(a, seed=0, n_mels=3)
+        differ = shape_map(params) != shape_map(model.init_rene(b, seed=0, n_mels=3))
+        if differ:
+            with pytest.raises(FormatError):
+                model.check_params(params, b, n_mels=3)
+        else:
+            model.check_params(params, b, n_mels=3)
+
+
 class TestAuditShapes:
     def test_ten_second_rene_s(self):
         audit = model.audit_shapes(model.preset_config("rene_s"), 998)
@@ -360,7 +457,7 @@ class TestAuditShapes:
         assert conf.shape == audit["conformer_encoder"]
         fmap = model.bigru_decode(conf, params, cfg)
         assert fmap.shape == audit["feature_map"]
-        out = model.rene_forward_features(frames, params, cfg)
+        out = model.rene_apply(frames, params, cfg)[0]
         assert out.embedding.shape == audit["decoder_state"]
         assert out.logits.shape == audit["logits"]
 
