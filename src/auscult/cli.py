@@ -193,13 +193,21 @@ def cmd_correlate(args):
 def cmd_smote(args):
     names = _features_list(args.features)
     table, matrix = _emr_features(args.emr, names)
-    labels = table.columns[args.label]
+    labels = table.column(args.label)
     if isinstance(labels, np.ndarray):
         labels = [f"{v:.10g}" for v in labels]
     counts = {}
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
-    minority = args.minority or min(counts, key=lambda k: (counts[k], k))
+    minority = args.minority
+    if not minority:
+        # the smallest class SMOTE can oversample: more rows than neighbours
+        usable = [c for c in counts if counts[c] > args.k_neighbors]
+        if not usable:
+            raise InvalidInputError(
+                f"no class has more than --k-neighbors={args.k_neighbors} "
+                f"rows; class counts {counts}")
+        minority = min(usable, key=lambda c: (counts[c], c))
     if minority not in counts:
         raise InvalidInputError(f"label {minority!r} not present")
     need = max(counts.values()) - counts[minority]
@@ -223,7 +231,7 @@ def cmd_smote(args):
 def cmd_gbdt(args):
     names = _features_list(args.features)
     table, matrix = _emr_features(args.train, names)
-    raw_labels = table.columns[args.label]
+    raw_labels = table.column(args.label)
     if isinstance(raw_labels, np.ndarray):
         raw_labels = [f"{v:.10g}" for v in raw_labels]
     codes, classes = emr_mod.label_encode(raw_labels)

@@ -42,8 +42,13 @@ class EmrTable:
             return len(v)
         return 0
 
+    def column(self, name: str):
+        if name not in self.columns:
+            raise InvalidInputError(f"no column {name!r}")
+        return self.columns[name]
+
     def is_numeric(self, name: str) -> bool:
-        return isinstance(self.columns[name], np.ndarray)
+        return isinstance(self.column(name), np.ndarray)
 
     def numeric_names(self):
         return [n for n in self.columns if self.is_numeric(n)]
@@ -60,16 +65,20 @@ class EmrTable:
 
 def read_emr_csv(path) -> EmrTable:
     """Header row required; empty cells are missing values. A column is
-    numeric when every non-empty cell parses as a float."""
+    numeric when every non-empty cell parses as a finite float."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc)) from None
     if not rows:
         raise ParseError("empty CSV", line=1)
     header = [h.strip() for h in rows[0]]
     width = len(header)
+    if len(set(header)) != width:
+        raise ParseError("duplicate column name", line=1)
     raw = {name: [] for name in header}
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
@@ -93,6 +102,9 @@ def read_emr_csv(path) -> EmrTable:
             except ValueError:
                 numeric = False
                 break
+            if not np.isfinite(values[-1]):
+                numeric = False
+                break
         columns[name] = np.array(values, dtype=np.float64) if numeric else list(cells)
     return EmrTable(columns=columns)
 
@@ -108,7 +120,11 @@ def impute_median(table: EmrTable) -> EmrTable:
                 known = col[~missing]
                 if known.size == 0:
                     raise InvalidInputError(f"column {name!r} has no known values")
-                col[missing] = np.median(known)
+                with np.errstate(over="ignore"):
+                    fill = np.median(known)  # may average two huge values
+                if not np.isfinite(fill):
+                    raise NonFiniteError(f"column {name!r} median overflows")
+                col[missing] = fill
             out[name] = col
         else:
             out[name] = list(col)
@@ -119,8 +135,13 @@ def zscore(points: np.ndarray):
     """Column-standardize; returns (z, mean, std) so callers can invert.
     Constant columns map to zero instead of dividing by 0."""
     points = np.asarray(points, dtype=np.float64)
-    mean = points.mean(axis=0)
-    std = points.std(axis=0)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise InvalidInputError("zscore needs an (n, d) matrix with n >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = points.mean(axis=0)
+        std = points.std(axis=0)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise NonFiniteError("columns must be finite and small enough to standardize")
     std = np.where(std > 0, std, 1.0)
     return (points - mean) / std, mean, std
 
@@ -150,10 +171,13 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise InvalidInputError("pearson needs two equal-length columns (n >= 2)")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt((dx**2).sum())
-    sy = np.sqrt((dy**2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sx = np.sqrt((dx**2).sum())
+        sy = np.sqrt((dy**2).sum())
+    if not (np.isfinite(sx) and np.isfinite(sy)):
+        raise NonFiniteError("columns must be finite and small enough to square")
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError("constant column has no defined correlation")
     return float((dx * dy).sum() / (sx * sy))
@@ -198,57 +222,89 @@ class ClusterModel:
 
 def _sq_dists(a, b):
     """(n, m) squared distances between the rows of a and b, summed one
-    feature at a time. Never builds the (n, m, d) difference cube; for d < 8
-    the sum is bit-for-bit NumPy's left-to-right sum over that cube's last
-    axis."""
+    feature at a time through one reused difference buffer. Never builds the
+    (n, m, d) difference cube; for d < 8 the sum is bit-for-bit NumPy's
+    left-to-right sum over that cube's last axis (an array's `**2` is the
+    same multiply as `diff *= diff`)."""
     out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
     for f in range(a.shape[1]):
-        out += (a[:, None, f] - b[None, :, f]) ** 2
+        np.subtract(a[:, None, f], b[None, :, f], out=diff)
+        diff *= diff
+        out += diff
     return out
 
 
+def _distance_matrix(points):
+    """(n, n) Euclidean distances between the rows of points."""
+    dists = _sq_dists(points, points)
+    return np.sqrt(dists, out=dists)
+
+
+def _check_points(points):
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or not np.all(np.isfinite(points)):
+        raise InvalidInputError("points must be a finite (n, d) matrix")
+    return points
+
+
 def _kmeans_pp_init(points, k, rng):
+    """Greedy k-means++ (Arthur & Vassilvitskii 2007): each centroid after
+    the first is the best of 2 + floor(ln k) candidates drawn with weight D^2,
+    the squared distance to the nearest centroid so far. The best candidate
+    leaves the smallest potential, the sum of D^2 over all points."""
     n = points.shape[0]
+    trials = 2 + int(np.log(k))
+    first = rng.integers(n)
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    centroids[0] = points[first]
+    closest = _sq_dists(points[first:first + 1], points)[0]
     for i in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            centroids[i] = points[rng.integers(n)]
-        else:
-            centroids[i] = points[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, ((points - centroids[i]) ** 2).sum(axis=1))
+        cum = np.cumsum(closest)
+        drawn = np.searchsorted(cum, rng.random(trials) * cum[-1], side="right")
+        candidates = np.minimum(drawn, n - 1)
+        d2 = np.minimum(closest, _sq_dists(points[candidates], points))
+        best = d2.sum(axis=1).argmin()
+        centroids[i] = points[candidates[best]]
+        closest = d2[best]
     return centroids
 
 
 def _lloyd_run(points, centroids):
-    """Lloyd iterations until assignments stabilize."""
+    """Lloyd iterations until assignments stabilize.
+
+    A row goes to the centroid c minimizing |c|^2 - 2 x.c: its own |x|^2
+    is the same for every centroid, so it drops out. The final assignments
+    and the inertia come from exact squared distances.
+    """
+    n, k = points.shape[0], centroids.shape[0]
     assignments = None
     for _ in range(KMEANS_MAX_ITER):
-        new_assign = _sq_dists(points, centroids).argmin(axis=1)
+        scores = (centroids * centroids).sum(axis=1) - 2.0 * (points @ centroids.T)
+        new_assign = scores.argmin(axis=1)
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        for c in range(centroids.shape[0]):
-            members = points[assignments == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-            else:
-                # Reseat an emptied centroid at the worst-fit point.
-                d2 = _sq_dists(points, centroids)
-                worst = d2[np.arange(len(points)), assignments].argmax()
-                centroids[c] = points[worst]
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.eye(k)[assignments].T @ points  # per-cluster row sums, (k, d)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            # Reseat emptied centroids at the worst-fit points.
+            misfit = ((points - centroids[assignments]) ** 2).sum(axis=1)
+            centroids[empty] = points[np.argsort(misfit)[::-1][:empty.size]]
     d2 = _sq_dists(points, centroids)
     assignments = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(len(points)), assignments].sum())
+    inertia = float(d2[np.arange(n), assignments].sum())
     return centroids, assignments, inertia
 
 
-def kmeans_fit(points, k: int, seed: int = 0, restarts: int = 4) -> ClusterModel:
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or not np.all(np.isfinite(points)):
-        raise InvalidInputError("points must be a finite (n, d) matrix")
+def kmeans_fit(points, k: int, seed: int = 0, restarts: int = 4,
+               dists=None) -> ClusterModel:
+    """Best of `restarts` greedy k-means++ / Lloyd runs by inertia. `dists`,
+    the points' (n, n) distance matrix, is handed on to `silhouette`."""
+    points = _check_points(points)
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -256,24 +312,25 @@ def kmeans_fit(points, k: int, seed: int = 0, restarts: int = 4) -> ClusterModel
     best = None
     for _ in range(max(1, restarts)):
         init = _kmeans_pp_init(points, k, rng)
-        centroids, assignments, inertia = _lloyd_run(points, init.copy())
+        centroids, assignments, inertia = _lloyd_run(points, init)
         if best is None or inertia < best[2]:
             best = (centroids, assignments, inertia)
     centroids, assignments, inertia = best
     if k >= 2 and len(np.unique(assignments)) >= 2:
-        _, sil_mean = silhouette(points, assignments)
+        _, sil_mean = silhouette(points, assignments, dists=dists)
     else:
         sil_mean = 0.0
     return ClusterModel(k=k, centroids=centroids, assignments=assignments,
                         inertia=inertia, silhouette_mean=sil_mean)
 
 
-def silhouette(points, assignments):
+def silhouette(points, assignments, dists=None):
     """Per-sample S(i) = (b - a) / max(a, b) and the mean.
 
     a(i) averages distances to the other members of i's cluster; b(i) is the
     smallest mean distance to any other cluster. Singletons score 0, as does
-    the degenerate a = b = 0 case.
+    the degenerate a = b = 0 case. `dists` is an optional precomputed (n, n)
+    distance matrix of the points; without it one is built here.
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
@@ -281,11 +338,16 @@ def silhouette(points, assignments):
         raise InvalidInputError("need an (n, d) point matrix and n assignments")
     if not np.all(np.isfinite(points)):
         raise NonFiniteError("points must be finite")
+    n = points.shape[0]
+    if dists is None:
+        dists = _distance_matrix(points)
+    elif np.shape(dists) != (n, n):
+        raise InvalidInputError(
+            f"distance matrix must be ({n}, {n}), got {np.shape(dists)}")
     clusters, own = np.unique(assignments, return_inverse=True)
     if len(clusters) < 2:
         raise InvalidInputError("silhouette needs at least two clusters")
-    dists = np.sqrt(_sq_dists(points, points))
-    rows = np.arange(points.shape[0])
+    rows = np.arange(n)
     members = np.eye(len(clusters))[own]  # one-hot cluster membership, (n, K)
     sizes = members.sum(axis=0)
     # sums[i, c]: total distance from point i to the members of cluster c
@@ -296,7 +358,7 @@ def silhouette(points, assignments):
     mean_to[rows, own] = np.inf
     b = mean_to.min(axis=1)
     denom = np.maximum(a, b)
-    scores = np.zeros(len(rows))
+    scores = np.zeros(n)
     ok = (n_own > 1) & (denom > 0)
     scores[ok] = (b[ok] - a[ok]) / denom[ok]
     return scores, float(scores.mean())
@@ -304,16 +366,18 @@ def silhouette(points, assignments):
 
 def select_k(points, k_range, seed: int = 0, restarts: int = 4):
     """Fit every k; return (best_k, model) maximizing mean silhouette,
-    ties broken toward smaller k."""
+    ties broken toward smaller k. One distance matrix serves every k."""
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise InvalidInputError("empty k range")
-    n = np.asarray(points).shape[0]
+    points = _check_points(points)
+    n = points.shape[0]
     if ks[0] < 2 or ks[-1] > n - 1:
         raise InvalidInputError("k range must lie within [2, n-1]")
+    dists = _distance_matrix(points)
     best_k, best_model = None, None
     for k in ks:
-        model = kmeans_fit(points, k, seed=seed, restarts=restarts)
+        model = kmeans_fit(points, k, seed=seed, restarts=restarts, dists=dists)
         if best_model is None or model.silhouette_mean > best_model.silhouette_mean:
             best_k, best_model = k, model
     return best_k, best_model
@@ -384,8 +448,7 @@ def smote_oversample(minority, n_synthetic: int, k_neighbors: int = 5, seed: int
         )
     if n_synthetic < 0:
         raise InvalidInputError("n_synthetic must be >= 0")
-    diff = minority[:, None, :] - minority[None, :, :]
-    dists = (diff**2).sum(axis=2)
+    dists = _sq_dists(minority, minority)
     np.fill_diagonal(dists, np.inf)
     neighbor_ids = np.argsort(dists, axis=1)[:, :k_neighbors]
 

@@ -6,6 +6,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import pytest
+
 from auscult.data import synthetic_tone_noise_dataset
 
 # verdict lines collected by the acceptance gate; printed after the run so
@@ -24,3 +26,9 @@ def make_tone_noise_dataset(n_clips=60, duration_s=2.0, seed=0, sample_rate=1600
     return synthetic_tone_noise_dataset(
         n_clips=n_clips, duration_s=duration_s, seed=seed, sample_rate=sample_rate
     )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One directory per test module for the files a fuzz test rewrites."""
+    return tmp_path_factory.mktemp("fuzz")

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auscult.cli import main
 from auscult.model import preset_config, save_model_config
@@ -40,13 +42,15 @@ def make_wav(path, seconds, seed=0):
     return str(path)
 
 
-def make_emr(path, n_a=12, n_b=8, seed=0):
+def make_emr(path, n_a=12, n_b=8, seed=0, n_c=0):
     rng = np.random.default_rng(seed)
     lines = ["age,bmi,diagnosis"]
     for _ in range(n_a):
         lines.append(f"{rng.normal(30, 2):.2f},{rng.normal(20, 1):.2f},asthma")
     for _ in range(n_b):
         lines.append(f"{rng.normal(70, 2):.2f},{rng.normal(30, 1):.2f},copd")
+    for _ in range(n_c):
+        lines.append(f"{rng.normal(50, 2):.2f},{rng.normal(25, 1):.2f},lrti")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -174,6 +178,13 @@ class TestCluster:
         ])
         assert code == 2
 
+    def test_unknown_column_exits_two(self, tmp_path):
+        emr = make_emr(tmp_path / "emr.csv")
+        assert main(["cluster", "--emr", emr, "--features", "age,nosuch", "--k", "2",
+                     "--out-json", str(tmp_path / "m.json")]) == 2
+        assert main(["gbdt", "--train", emr, "--features", "age,bmi",
+                     "--label", "nosuch"]) == 2
+
     def test_coords_needs_three_features(self, tmp_path):
         emr = make_emr(tmp_path / "emr.csv")
         code = main([
@@ -182,6 +193,32 @@ class TestCluster:
             "--coords", str(tmp_path / "c.csv"),
         ])
         assert code == 2
+
+
+# cells a hand-made table might hold, numbers that overflow a sum among them
+CELLS = st.sampled_from(
+    ["", "0", "1.5", "-3", "42", "7e2", "1e308", "-1e308", "inf", "nan", "x", '"9"', " 2 "])
+
+
+@st.composite
+def emr_csv_bytes(draw):
+    rows = draw(st.lists(st.lists(CELLS, min_size=2, max_size=3), max_size=10))
+    return ("age,bmi\n" + "".join(",".join(r) + "\n" for r in rows)).encode()
+
+
+class TestClusterFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=200), emr_csv_bytes()))
+    @example(raw=b"age,bmi\n1e308,1\n1e308,2\n,3\n")  # the median overflows
+    def test_cluster_exits_zero_or_two(self, fuzz_dir, raw):
+        path = fuzz_dir / "emr.csv"
+        path.write_bytes(raw)
+        code = main([
+            "cluster", "--emr", str(path), "--features", "age,bmi",
+            "--k-range", "2:3", "--out-json", str(fuzz_dir / "model.json"),
+            "--summary", str(fuzz_dir / "summary.csv"),
+        ])
+        assert code in (0, 2)
 
 
 class TestCorrelate:
@@ -210,6 +247,25 @@ class TestSmote:
             counts[row["diagnosis"]] = counts.get(row["diagnosis"], 0) + 1
         assert counts == {"asthma": 12, "copd": 12}
         assert "added 4 synthetic rows" in capsys.readouterr().out
+
+    def test_default_class_has_more_rows_than_neighbours(self, tmp_path, capsys):
+        # ICBHI-shaped: the rarest class is too small for five neighbours
+        emr = make_emr(tmp_path / "emr.csv", n_a=12, n_b=8, n_c=2)
+        out = tmp_path / "balanced.csv"
+        assert main(["smote", "--emr", emr, "--features", "age,bmi",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            labels = [row["diagnosis"] for row in csv.DictReader(fh)]
+        assert {c: labels.count(c) for c in set(labels)} == {
+            "asthma": 12, "copd": 12, "lrti": 2}
+        assert "for class 'copd'" in capsys.readouterr().out
+
+    def test_no_class_large_enough_exits_two(self, tmp_path, capsys):
+        emr = make_emr(tmp_path / "emr.csv", n_a=4, n_b=3)
+        assert main(["smote", "--emr", emr, "--features", "age,bmi",
+                     "--out", str(tmp_path / "balanced.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "--k-neighbors=5" in err and "'asthma': 4" in err and "'copd': 3" in err
 
 
 class TestGbdt:

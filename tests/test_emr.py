@@ -37,6 +37,7 @@ from auscult.emr import (
     zscore,
 )
 from auscult.errors import (
+    AuscultError,
     InvalidInputError,
     NonFiniteError,
     ParseError,
@@ -82,6 +83,41 @@ def make_blobs(centers, per_cluster, spread, seed):
         points.append(center + spread * rng.standard_normal((per_cluster, len(center))))
         labels.extend([c] * per_cluster)
     return np.vstack(points), np.array(labels)
+
+
+# rows, share of children, adult age mean and sd, adult BMI mean and sd,
+# child age range: an ICBHI-shaped cohort whose last group, 15 infants, is a
+# small cluster far from the other 905 rows
+COHORT = (
+    (794, 0.0, 68.0, 6.0, 29.0, 2.5, None),
+    (37, 0.0, 80.0, 4.0, 19.0, 1.5, None),
+    (35, 0.5, 25.0, 3.0, 22.0, 1.5, (7.0, 9.0)),
+    (23, 0.8, 40.0, 3.0, 25.0, 1.5, (10.0, 12.0)),
+    (16, 0.0, 50.0, 4.0, 21.0, 1.5, None),
+    (15, 1.0, 0.0, 0.0, 0.0, 0.0, (0.3, 1.5)),
+)
+
+
+def icbhi_like_points(seed):
+    """z-scored (age, adult BMI, child weight, child height) rows in shuffled
+    order, and the infants' row mask. Adults have no child measures and
+    children no BMI; a missing cell takes its column's median."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n, child_share, age_mu, age_sd, bmi_mu, bmi_sd, child_ages in COHORT:
+        for _ in range(n):
+            if rng.random() < child_share:
+                age = rng.uniform(*child_ages)
+                rows.append((age, np.nan, (3.5 + 2.6 * age) * rng.lognormal(0.0, 0.1),
+                             (52.0 + 25.0 * age ** 0.6) * rng.normal(1.0, 0.03)))
+            else:
+                rows.append((max(18.0, rng.normal(age_mu, age_sd)),
+                             rng.normal(bmi_mu, bmi_sd), np.nan, np.nan))
+    order = rng.permutation(len(rows))
+    x = np.array(rows)[order]
+    missing = np.isnan(x)
+    x[missing] = np.nanmedian(x, axis=0)[np.nonzero(missing)[1]]
+    return zscore(x)[0], order >= len(rows) - COHORT[-1][0]
 
 
 class TestLabelEncode:
@@ -136,6 +172,12 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+    @pytest.mark.parametrize("x", [[1e200, 0.0, 1.0], [1e308, 1e308, 0.0], [np.nan, 0.0, 1.0]])
+    def test_overflow_or_nan_rejected(self, x):
+        with pytest.raises(NonFiniteError):
+            pearson(x, [0.0, 1.0, 2.0])
 
 
 class TestCorrelationMatrix:
@@ -224,6 +266,26 @@ class TestKmeans:
                 silhouette_mean=0.0,
             )
 
+    def test_lloyd_centroids_are_cluster_means(self):
+        points, _ = make_blobs([(0.0, 0.0), (6.0, 1.0), (2.0, 7.0)], 30, 1.0, seed=13)
+        centroids, assignments, inertia = emr._lloyd_run(points, points[[0, 1, 2]].copy())
+        for c in range(3):
+            np.testing.assert_allclose(centroids[c], points[assignments == c].mean(axis=0),
+                                       rtol=0, atol=1e-12)
+        d2 = cube_sq_dists(points, centroids)
+        assert np.array_equal(assignments, d2.argmin(axis=1))
+        assert inertia == d2.min(axis=1).sum()
+
+    def test_lloyd_reseats_emptied_centroids(self):
+        points, _ = make_blobs([(0.0, 0.0), (8.0, 0.0)], 20, 0.5, seed=14)
+        # no row is nearest to the two far centroids, so both empty at once
+        init = np.array([[0.0, 0.0], [1e3, 1e3], [-1e3, 1e3], [8.0, 0.0]])
+        centroids, assignments, _ = emr._lloyd_run(points, init)
+        assert np.bincount(assignments, minlength=4).min() > 0
+        for c in range(4):
+            np.testing.assert_allclose(centroids[c], points[assignments == c].mean(axis=0),
+                                       rtol=0, atol=1e-12)
+
 
 class TestSilhouette:
     def test_worked_pair_clusters(self):
@@ -281,6 +343,22 @@ class TestSilhouette:
         with pytest.raises(NonFiniteError):
             silhouette(points, np.array([0, 0, 1, 1]))
 
+    def test_precomputed_matrix_gives_the_same_bits(self):
+        rng = np.random.default_rng(15)
+        points = rng.standard_normal((40, 3))
+        labels = rng.integers(0, 3, size=40)
+        scores, mean = silhouette(points, labels)
+        given_scores, given_mean = silhouette(
+            points, labels, dists=np.sqrt(cube_sq_dists(points, points)))
+        assert np.array_equal(scores, given_scores) and mean == given_mean
+
+    @pytest.mark.parametrize("shape", [(40, 39), (39, 40), (40,), (40, 40, 1)])
+    def test_wrong_shape_matrix_rejected(self, shape):
+        rng = np.random.default_rng(16)
+        points = rng.standard_normal((40, 2))
+        with pytest.raises(InvalidInputError):
+            silhouette(points, rng.integers(0, 3, size=40), dists=np.zeros(shape))
+
 
 class TestSelectK:
     def test_recovers_three_blobs(self):
@@ -305,6 +383,43 @@ class TestSelectK:
         points = np.random.default_rng(0).standard_normal((6, 2))
         with pytest.raises(InvalidInputError):
             select_k(points, [2, 6])
+
+    def test_model_equals_standalone_fit(self):
+        points, _ = make_blobs([(0.0, 0.0), (8.0, 0.0), (4.0, 7.0)], 20, 1.2, seed=17)
+        best_k, model = select_k(points, range(2, 7), seed=3)
+        alone = kmeans_fit(points, best_k, seed=3)
+        assert np.array_equal(model.assignments, alone.assignments)
+        assert np.array_equal(model.centroids, alone.centroids)
+        assert model.inertia == alone.inertia
+        assert model.silhouette_mean == alone.silhouette_mean
+
+    def test_one_distance_matrix_and_every_call_through_module_globals(self, monkeypatch):
+        # the benchmark's spans wrap emr.kmeans_fit and emr.silhouette
+        calls = []
+
+        def counting(name):
+            real = getattr(emr, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("kmeans_fit", "silhouette", "_distance_matrix"):
+            monkeypatch.setattr(emr, name, counting(name))
+        points, _ = make_blobs([(0.0, 0.0), (8.0, 0.0)], 20, 0.5, seed=18)
+        emr.select_k(points, range(2, 7), seed=0)
+        assert calls.count("_distance_matrix") == 1
+        assert calls.count("kmeans_fit") == calls.count("silhouette") == 5
+
+    def test_recovers_planted_small_cluster(self):
+        # plain k-means++ seeding, one D^2 draw per centroid, missed the
+        # infants in all four restarts on this table, and k=3 won
+        points, infants = icbhi_like_points(seed=127)
+        best_k, model = select_k(points, range(2, 13), seed=0)
+        assert best_k == 2
+        assert len(np.unique(model.assignments[infants])) == 1
+        assert not np.isin(model.assignments[~infants], model.assignments[infants]).any()
 
 
 class TestClusterSummary:
@@ -725,6 +840,17 @@ class TestKernelExactness:
             ref_scores, ref_mean = silhouette(points, labels)
         assert np.array_equal(scores, ref_scores) and mean == ref_mean
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_smote_matches_difference_cube(self, d):
+        rng = np.random.default_rng(200 + d)
+        minority = rng.standard_normal((30, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        minority[1] = minority[0]  # a tie among the neighbours
+        synthetic = smote_oversample(minority, 200, k_neighbors=5, seed=d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(emr, "_sq_dists", cube_sq_dists)
+            reference = smote_oversample(minority, 200, k_neighbors=5, seed=d)
+        assert np.array_equal(synthetic, reference)
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -791,8 +917,49 @@ class TestTableIo:
         with pytest.raises(InvalidInputError):
             table.matrix(["age", "sex"])
 
+    def test_unknown_column_rejected(self, tmp_path):
+        table = read_emr_csv(self.write_csv(tmp_path / "emr.csv", "age\n40\n"))
+        with pytest.raises(InvalidInputError, match="no column 'bmi'"):
+            table.matrix(["bmi"])
+        with pytest.raises(InvalidInputError):
+            table.column("bmi")
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        path = self.write_csv(tmp_path / "emr.csv", "age,age\n40,50\n")
+        with pytest.raises(ParseError, match="line 1"):
+            read_emr_csv(path)
+
+    def test_non_finite_cells_are_not_numeric(self, tmp_path):
+        path = self.write_csv(tmp_path / "emr.csv", "a,b,c\n1,2,3\ninf,nan,1e999\n")
+        assert read_emr_csv(path).numeric_names() == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=300),
+        st.text(alphabet=',\n\r" 0123456789.-+eEinfaNx\x00\u00e9', max_size=300)
+        .map(str.encode),
+    ))
+    def test_arbitrary_bytes_parse_or_raise_typed(self, fuzz_dir, raw):
+        path = fuzz_dir / "emr.csv"
+        path.write_bytes(raw)
+        try:
+            table = read_emr_csv(path)
+        except AuscultError:
+            return
+        assert isinstance(table, EmrTable)
+        for name in table.numeric_names():
+            assert not np.isinf(table.columns[name]).any()
+
 
 class TestZscore:
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidInputError):
+            zscore(np.zeros((0, 2)))
+
+    def test_overflowing_column_rejected(self):
+        with pytest.raises(NonFiniteError):
+            zscore(np.array([[1e308], [-1e308]]))
+
     def test_standardizes(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((50, 3)) * 5 + 2
