@@ -134,7 +134,7 @@ def cmd_eval(args):
                                   label_scheme=args.scheme)
     predictions = []
     for frames, _ in dataset.items:
-        out, _ = rene_apply(frames, params, model_cfg)
+        out, _ = rene_apply(frames, params, model_cfg, cache=False)
         predictions.append(predict_class(out.probs))
     metrics = compute_metrics(
         confusion_counts(predictions, dataset.labels, args.normal_class)

@@ -5,10 +5,11 @@
 `init_rene` draws the tree from it, and `estimate_parameter_count` and
 `check_params` (a loaded file against its config) read its shapes-only form.
 
-The cached entry points (`rene_apply` / `rene_grad`) carry activations for the
-hand-derived backward pass; the plain functions below them are the pure
-inference surface. Parameters live in a nested dict tree whose shape mirrors
-the gradients returned by `rene_grad`.
+`rene_apply` with its default `cache=True` returns the activations the
+hand-derived backward pass (`rene_grad`) reads; with `cache=False`, as every
+inference caller uses it, it keeps none of them. The per-stage functions
+(`encoder_forward` and the rest) are cache-free too. Parameters live in a
+nested dict tree whose shape mirrors the gradients returned by `rene_grad`.
 """
 
 from __future__ import annotations
@@ -216,13 +217,17 @@ def check_params(params: dict, cfg: ReneConfig, n_mels: int = 80) -> None:
 
 
 # ------------------------------------------------------------------ sublayers
+#
+# Every forward below takes `cache`. With cache=False it returns None in place
+# of its activations, so an inference decode holds no layer's activations past
+# the call that made them; only training needs the backward tape.
 
-def _ff_forward(x, p):
+def _ff_forward(x, p, cache=True):
     h, c_ln = nn.layer_norm_forward(x, p["ln"]["gain"], p["ln"]["bias"])
     h1, c1 = nn.linear_forward(h, p["lin1"]["w"], p["lin1"]["b"])
     g, cg = nn.gelu_forward(h1)
     y, c2 = nn.linear_forward(g, p["lin2"]["w"], p["lin2"]["b"])
-    return y, (c_ln, c1, cg, c2)
+    return y, ((c_ln, c1, cg, c2) if cache else None)
 
 
 def _ff_backward(dy, cache):
@@ -234,10 +239,10 @@ def _ff_backward(dy, cache):
     return dx, {"ln": g_ln, "lin1": g1, "lin2": g2}
 
 
-def _attn_sublayer_forward(x, p, n_heads):
+def _attn_sublayer_forward(x, p, n_heads, cache=True):
     h, c_ln = nn.layer_norm_forward(x, p["ln"]["gain"], p["ln"]["bias"])
     y, c_at = nn.multi_head_self_attention_forward(h, p["mhsa"], n_heads)
-    return y, (c_ln, c_at)
+    return y, ((c_ln, c_at) if cache else None)
 
 
 def _attn_sublayer_backward(dy, cache):
@@ -247,7 +252,7 @@ def _attn_sublayer_backward(dy, cache):
     return dx, {"ln": g_ln, "mhsa": g_at}
 
 
-def _conv_module_forward(x, p):
+def _conv_module_forward(x, p, cache=True):
     h, c_ln1 = nn.layer_norm_forward(x, p["ln_pre"]["gain"], p["ln_pre"]["bias"])
     h1, c_pw1 = nn.linear_forward(h, p["pw1"]["w"], p["pw1"]["b"])
     g, cg = nn.gelu_forward(h1)
@@ -255,7 +260,7 @@ def _conv_module_forward(x, p):
     dconv, c_dw = nn.depthwise_conv1d_forward(g, p["dw"]["w"], p["dw"]["b"], pad)
     norm, c_ln2 = nn.layer_norm_forward(dconv, p["ln_mid"]["gain"], p["ln_mid"]["bias"])
     y, c_pw2 = nn.linear_forward(norm, p["pw2"]["w"], p["pw2"]["b"])
-    return y, (c_ln1, c_pw1, cg, c_dw, c_ln2, c_pw2)
+    return y, ((c_ln1, c_pw1, cg, c_dw, c_ln2, c_pw2) if cache else None)
 
 
 def _conv_module_backward(dy, cache):
@@ -270,31 +275,47 @@ def _conv_module_backward(dy, cache):
                 "ln_mid": g_ln2, "pw2": g_pw2}
 
 
+def _conv_stem_forward(x, p, strides, cache=True):
+    """Two padded GELU convolutions with the given strides."""
+    h1, c1 = nn.conv1d_forward(x, p["conv1"]["w"], p["conv1"]["b"], strides[0], 1)
+    g1, cg1 = nn.gelu_forward(h1)
+    h2, c2 = nn.conv1d_forward(g1, p["conv2"]["w"], p["conv2"]["b"], strides[1], 1)
+    g2, cg2 = nn.gelu_forward(h2)
+    return g2, ((c1, cg1, c2, cg2) if cache else None)
+
+
+def _conv_stem_backward(dy, cache):
+    c1, cg1, c2, cg2 = cache
+    dh2 = nn.gelu_backward(dy, cg2)
+    dg1, g_c2 = nn.conv1d_backward(dh2, c2)
+    dh1 = nn.gelu_backward(dg1, cg1)
+    dx, g_c1 = nn.conv1d_backward(dh1, c1)
+    return dx, {"conv1": g_c1, "conv2": g_c2}
+
+
 # ----------------------------------------------------------- whisper encoder
 
-def _encoder_apply(frames, params, cfg):
+def _encoder_apply(frames, params, cfg, cache=True):
     p = params["encoder"]
-    h1, c1 = nn.conv1d_forward(frames, p["conv1"]["w"], p["conv1"]["b"], 1, 1)
-    g1, cg1 = nn.gelu_forward(h1)
-    h2, c2 = nn.conv1d_forward(g1, p["conv2"]["w"], p["conv2"]["b"], 2, 1)
-    g2, cg2 = nn.gelu_forward(h2)
+    g2, c_stem = _conv_stem_forward(frames, p, (1, 2), cache)
     h = g2 + nn.sinusoidal_positional_embedding(g2.shape[0], cfg.whisper_dim)
     block_caches = []
     for i in range(cfg.whisper_layers):
         bp = p[f"block{i}"]
-        a, c_a = _attn_sublayer_forward(h, bp["attn"], cfg.whisper_heads)
+        a, c_a = _attn_sublayer_forward(h, bp["attn"], cfg.whisper_heads, cache)
         h = h + a
-        f, c_f = _ff_forward(h, bp["ff"])
+        f, c_f = _ff_forward(h, bp["ff"], cache)
         h = h + f
-        block_caches.append((c_a, c_f))
+        if cache:
+            block_caches.append((c_a, c_f))
     y, c_ln = nn.layer_norm_forward(
         h, p["ln_final"]["gain"], p["ln_final"]["bias"]
     )
-    return y, (c1, cg1, c2, cg2, block_caches, c_ln)
+    return y, ((c_stem, block_caches, c_ln) if cache else None)
 
 
 def _encoder_backward(dy, cache, params, cfg):
-    c1, cg1, c2, cg2, block_caches, c_ln = cache
+    c_stem, block_caches, c_ln = cache
     grads: dict = {}
     dh, grads["ln_final"] = nn.layer_norm_backward(dy, c_ln)
     for i in reversed(range(cfg.whisper_layers)):
@@ -304,11 +325,8 @@ def _encoder_backward(dy, cache, params, cfg):
         da, g_a = _attn_sublayer_backward(dh, c_a)
         dh = dh + da
         grads[f"block{i}"] = {"attn": g_a, "ff": g_f}
-    dg2 = nn.gelu_backward(dh, cg2)
-    dg1c, g_c2 = nn.conv1d_backward(dg2, c2)
-    dh1 = nn.gelu_backward(dg1c, cg1)
-    dx, g_c1 = nn.conv1d_backward(dh1, c1)
-    grads["conv1"], grads["conv2"] = g_c1, g_c2
+    dx, g_stem = _conv_stem_backward(dh, c_stem)
+    grads.update(g_stem)
     return dx, grads
 
 
@@ -316,24 +334,24 @@ def encoder_forward(spec, params, cfg: ReneConfig) -> np.ndarray:
     """Two GELU convolutions (stride 1 then 2), positional embeddings, then
     pre-activation residual attention blocks and a final layer norm."""
     frames = spec.frames if isinstance(spec, LogMelSpectrogram) else np.asarray(spec)
-    return _encoder_apply(frames, params, cfg)[0]
+    return _encoder_apply(frames, params, cfg, cache=False)[0]
 
 
 # ---------------------------------------------------------- conformer encoder
 
-def _conformer_block_apply(x, p, n_heads):
+def _conformer_block_apply(x, p, n_heads, cache=True):
     """One Macaron block: half-step FF, attention, conv module, half-step FF,
     final layer norm."""
-    f1, c_f1 = _ff_forward(x, p["ff1"])
+    f1, c_f1 = _ff_forward(x, p["ff1"], cache)
     x1 = x + 0.5 * f1
-    a, c_a = _attn_sublayer_forward(x1, p["attn"], n_heads)
+    a, c_a = _attn_sublayer_forward(x1, p["attn"], n_heads, cache)
     x2 = x1 + a
-    cm, c_c = _conv_module_forward(x2, p["conv"])
+    cm, c_c = _conv_module_forward(x2, p["conv"], cache)
     x3 = x2 + cm
-    f2, c_f2 = _ff_forward(x3, p["ff2"])
+    f2, c_f2 = _ff_forward(x3, p["ff2"], cache)
     x4 = x3 + 0.5 * f2
     y, c_ln = nn.layer_norm_forward(x4, p["ln_final"]["gain"], p["ln_final"]["bias"])
-    return y, (c_f1, c_a, c_c, c_f2, c_ln)
+    return y, ((c_f1, c_a, c_c, c_f2, c_ln) if cache else None)
 
 
 def _conformer_block_backward(dy, cache, p):
@@ -350,27 +368,25 @@ def _conformer_block_backward(dy, cache, p):
     return dx, {"ff1": g_f1, "attn": g_a, "conv": g_c, "ff2": g_f2, "ln_final": g_lnf}
 
 
-def _conformer_apply(x, params, cfg):
+def _conformer_apply(x, params, cfg, cache=True):
     if x.shape[0] < 4:
         raise TooShortError(
             f"conformer subsampling needs at least 4 steps, got {x.shape[0]}"
         )
     sp = params["subsample"]
-    h1, c1 = nn.conv1d_forward(x, sp["conv1"]["w"], sp["conv1"]["b"], 2, 1)
-    g1, cg1 = nn.gelu_forward(h1)
-    h2, c2 = nn.conv1d_forward(g1, sp["conv2"]["w"], sp["conv2"]["b"], 2, 1)
-    g2, cg2 = nn.gelu_forward(h2)
+    g2, c_stem = _conv_stem_forward(x, sp, (2, 2), cache)
     h, c_proj = nn.linear_forward(g2, sp["proj"]["w"], sp["proj"]["b"])
     block_caches = []
     for i in range(cfg.conformer_layers):
         h, c = _conformer_block_apply(h, params["conformer"][f"block{i}"],
-                                      cfg.conformer_heads)
-        block_caches.append(c)
-    return h, (c1, cg1, c2, cg2, c_proj, block_caches)
+                                      cfg.conformer_heads, cache)
+        if cache:
+            block_caches.append(c)
+    return h, ((c_stem, c_proj, block_caches) if cache else None)
 
 
 def _conformer_backward(dy, cache, params, cfg):
-    c1, cg1, c2, cg2, c_proj, block_caches = cache
+    c_stem, c_proj, block_caches = cache
     g_blocks: dict = {}
     dh = dy
     for i in reversed(range(cfg.conformer_layers)):
@@ -379,36 +395,33 @@ def _conformer_backward(dy, cache, params, cfg):
         )
         g_blocks[f"block{i}"] = g
     dg2, g_proj = nn.linear_backward(dh, c_proj)
-    dh2 = nn.gelu_backward(dg2, cg2)
-    dg1, g_c2 = nn.conv1d_backward(dh2, c2)
-    dh1 = nn.gelu_backward(dg1, cg1)
-    dx, g_c1 = nn.conv1d_backward(dh1, c1)
-    return dx, {"conv1": g_c1, "conv2": g_c2, "proj": g_proj}, g_blocks
+    dx, g_sub = _conv_stem_backward(dg2, c_stem)
+    return dx, {**g_sub, "proj": g_proj}, g_blocks
 
 
 def conformer_encoder_forward(x, params, cfg: ReneConfig) -> np.ndarray:
     """Two stride-2 subsampling convolutions, linear projection, then the
     stack of Conformer blocks."""
-    return _conformer_apply(np.asarray(x), params, cfg)[0]
+    return _conformer_apply(np.asarray(x), params, cfg, cache=False)[0]
 
 
 # -------------------------------------------------------------- BiGRU decoder
 
 def bigru_decode(seq, params, cfg: ReneConfig) -> np.ndarray:
     """Final BiGRU state (both directions) reshaped to a 2D feature map."""
-    fmap, _final, _cache = _decode_apply(np.asarray(seq), params)
+    fmap, _final, _cache = _decode_apply(np.asarray(seq), params, cache=False)
     return fmap
 
 
-def _decode_apply(seq, params):
-    _ys, final, cache = nn.bigru_forward(seq, params["bigru"])
+def _decode_apply(seq, params, cache=True):
+    _ys, final, c_bg = nn.bigru_forward(seq, params["bigru"])
     rows, cols = most_square_factorization(final.shape[0])
-    return final.reshape(rows, cols), final, cache
+    return final.reshape(rows, cols), final, (c_bg if cache else None)
 
 
 # ---------------------------------------------------------------- trial block
 
-def _branch_apply(x, kernels, params, prefix):
+def _branch_apply(x, kernels, params, prefix, cache=True):
     caches = []
     h = x
     for i in range(len(kernels)):
@@ -417,9 +430,10 @@ def _branch_apply(x, kernels, params, prefix):
             h, pp["dw_kernel"], pp["pw_weight"], pp["pw_bias"]
         )
         g, cg = nn.gelu_forward(h)
-        caches.append((c, cg))
+        if cache:
+            caches.append((c, cg))
         h = g
-    return h, caches
+    return h, (caches if cache else None)
 
 
 def _branch_backward(dh, caches, params, prefix):
@@ -432,7 +446,7 @@ def _branch_backward(dh, caches, params, prefix):
     return dh, grads
 
 
-def _trial_apply(fmap, params, cfg):
+def _trial_apply(fmap, params, cfg, cache=True):
     rows, cols = fmap.shape
     left_k, _, right_k = cfg.trial_kernel_sizes
     k_max = max([*left_k, *right_k], default=1)
@@ -442,13 +456,13 @@ def _trial_apply(fmap, params, cfg):
         )
     tp = params["trial"]
     x = fmap[:, :, None]
-    left, c_left = _branch_apply(x, left_k, tp, "left")
-    right, c_right = _branch_apply(x, right_k, tp, "right")
+    left, c_left = _branch_apply(x, left_k, tp, "left", cache)
+    right, c_right = _branch_apply(x, right_k, tp, "right", cache)
     center = np.repeat(x, cfg.trial_channels, axis=2)
     merged = left + right + center
     pooled = merged.mean(axis=(0, 1))
     logits, c_head = nn.linear_forward(pooled, tp["head"]["w"], tp["head"]["b"])
-    return logits, (c_left, c_right, fmap.shape, c_head)
+    return logits, ((c_left, c_right, fmap.shape, c_head) if cache else None)
 
 
 def _trial_backward(dlogits, cache, params, cfg):
@@ -469,19 +483,24 @@ def _trial_backward(dlogits, cache, params, cfg):
 def trial_block_forward(feature_map, params, cfg: ReneConfig) -> np.ndarray:
     """Three-branch block (shrinking kernels, identity, growing kernels) with
     global average pooling and a linear head."""
-    return _trial_apply(np.asarray(feature_map), params, cfg)[0]
+    return _trial_apply(np.asarray(feature_map), params, cfg, cache=False)[0]
 
 
 # ------------------------------------------------------------------ full model
 
-def rene_apply(frames, params, cfg: ReneConfig):
-    """Cached full forward from (T, n_mels) features to ReneOutput."""
-    enc, c_enc = _encoder_apply(np.asarray(frames, dtype=np.float64), params, cfg)
-    conf, c_conf = _conformer_apply(enc, params, cfg)
-    fmap, final, c_bg = _decode_apply(conf, params)
-    logits, c_trial = _trial_apply(fmap, params, cfg)
+def rene_apply(frames, params, cfg: ReneConfig, cache=True):
+    """Full forward from (T, n_mels) features to (ReneOutput, cache).
+
+    The cache is the backward tape `rene_grad` reads. With cache=False it is
+    None and each stage frees its activations as it goes, which is what an
+    inference decode wants; the output is the same either way."""
+    enc, c_enc = _encoder_apply(np.asarray(frames, dtype=np.float64), params, cfg,
+                                cache)
+    conf, c_conf = _conformer_apply(enc, params, cfg, cache)
+    fmap, final, c_bg = _decode_apply(conf, params, cache)
+    logits, c_trial = _trial_apply(fmap, params, cfg, cache)
     out = ReneOutput(probs=nn.softmax(logits), logits=logits, embedding=final)
-    return out, (c_enc, c_conf, c_bg, c_trial)
+    return out, ((c_enc, c_conf, c_bg, c_trial) if cache else None)
 
 
 def rene_grad(dlogits, cache, params, cfg: ReneConfig) -> dict:
@@ -505,7 +524,7 @@ def rene_forward(
     """Raw audio to class probabilities through the whole pipeline."""
     fcfg = frontend_config or FrontendConfig()
     spec = log_mel_spectrogram(signal, fcfg, normalization)
-    return rene_apply(spec.frames, params, cfg)[0]
+    return rene_apply(spec.frames, params, cfg, cache=False)[0]
 
 
 # ----------------------------------------------------------------- shape audit

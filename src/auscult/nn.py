@@ -10,6 +10,10 @@ are plain dicts of numpy arrays, treated as immutable once built.
 from __future__ import annotations
 
 import functools
+import io
+import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -45,8 +49,22 @@ def gelu_forward(x):
 
 def gelu_backward(dy, cache):
     x, t = cache
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
+    # dy * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)),
+    # in that operation order, in three buffers; dy and the cache stay unwritten
+    dinner = x * x
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_C
+    half = np.multiply(0.5, x)
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    np.multiply(half, dx, out=dx)
+    dx *= dinner
+    np.add(1.0, t, out=half)
+    half *= 0.5
+    np.add(half, dx, out=dx)
+    dx *= dy
+    return dx
 
 
 def gelu(x):
@@ -88,14 +106,18 @@ def layer_norm_forward(x, gain, bias, eps=1e-5):
 def layer_norm_backward(dy, cache):
     xhat, inv_std, gain = cache
     n = xhat.shape[-1]
-    dgain = (dy * xhat).reshape(-1, n).sum(axis=0)
+    prod = dy * xhat
+    dgain = prod.reshape(-1, n).sum(axis=0)
     dbias = dy.reshape(-1, n).sum(axis=0)
-    dxhat = dy * gain
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    # dxhat = dy * gain, built in one buffer with prod as scratch, in that
+    # operation order; dy and the cache stay unwritten
+    dx = dy * gain
+    np.multiply(dx, xhat, out=prod)
+    np.multiply(xhat, prod.mean(axis=-1, keepdims=True), out=prod)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= prod
+    dx *= inv_std
     return dx, {"gain": dgain, "bias": dbias}
 
 
@@ -505,6 +527,10 @@ def unflatten_params(flat):
         node = nested
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise FormatError(f"parameter {name!r} nests under another leaf")
+        if isinstance(node.get(parts[-1]), dict):
+            raise FormatError(f"parameter {name!r} is also a group of leaves")
         node[parts[-1]] = value
     return nested
 
@@ -528,42 +554,63 @@ def save_params(path, params):
 
 
 def load_params(path):
+    """Read a `save_params` file into a float64 tree. A regular file is read
+    one record at a time, so only the record being converted is held besides
+    the tree; a pipe, whose size is unknown until its end, is read whole."""
     with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_params(fh, info.st_size)
         blob = fh.read()
-    if blob[:4] != PARAMS_MAGIC:
+    return _read_params(io.BytesIO(blob), len(blob))
+
+
+def _read_params(fh, size):
+    head = fh.read(8)
+    if head[:4] != PARAMS_MAGIC:
         raise FormatError("bad parameter-file magic", offset=0)
-    if len(blob) < 8:
+    if len(head) < 8:
         raise FormatError("truncated header", offset=4)
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = struct.unpack_from("<I", head, 4)
     if version != PARAMS_VERSION:
         raise FormatError(f"unsupported format version {version}", offset=4)
 
     flat = {}
     pos = 8
-    while pos < len(blob):
+    while pos < size:
         start = pos
         try:
-            (name_len,) = struct.unpack_from("<I", blob, pos)
+            (name_len,) = struct.unpack("<I", fh.read(4))
             pos += 4
+            # a name running past the end is read short and fails below
+            raw = fh.read(min(name_len, size - pos))
             try:
-                name = blob[pos : pos + name_len].decode("utf-8")
+                name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError("record name is not UTF-8", offset=pos) from None
             pos += name_len
-            tag, rank = struct.unpack_from("<BB", blob, pos)
+            tag, rank = struct.unpack("<BB", fh.read(2))
             pos += 2
-            dims = struct.unpack_from(f"<{rank}I", blob, pos)
+            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
             pos += 4 * rank
-            if tag not in _TAG_TO_DTYPE:
-                raise FormatError(f"unknown dtype tag {tag}", offset=start)
-            dtype = np.dtype(_TAG_TO_DTYPE[tag])
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            nbytes = count * dtype.itemsize
-            if pos + nbytes > len(blob):
-                raise FormatError("record payload truncated", offset=start)
-            arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-            pos += nbytes
         except struct.error as exc:
             raise FormatError(f"malformed record: {exc}", offset=start) from None
-        flat[name] = arr.reshape(dims).astype(np.float64)
+        if tag not in _TAG_TO_DTYPE:
+            raise FormatError(f"unknown dtype tag {tag}", offset=start)
+        dtype = np.dtype(_TAG_TO_DTYPE[tag])
+        count = math.prod(dims)
+        nbytes = count * dtype.itemsize
+        # checked before anything is allocated for the payload
+        if pos + nbytes > size:
+            raise FormatError("record payload truncated", offset=start)
+        try:
+            arr = np.empty(dims, dtype=dtype)
+        except ValueError:  # an empty shape whose other dims overflow
+            raise FormatError(f"record dims {dims} too large", offset=start) from None
+        if fh.readinto(arr) != nbytes:
+            raise FormatError("record payload truncated", offset=start)
+        pos += nbytes
+        if name in flat:
+            raise FormatError(f"record {name!r} repeats", offset=start)
+        flat[name] = arr.astype(np.float64, copy=False)
     return unflatten_params(flat)

@@ -222,6 +222,6 @@ def write_loss_trace(path, trace) -> None:
 def training_accuracy(dataset: LabeledDataset, params, model_cfg: ReneConfig) -> float:
     hits = 0
     for frames, label in dataset.items:
-        out, _ = rene_apply(frames, params, model_cfg)
+        out, _ = rene_apply(frames, params, model_cfg, cache=False)
         hits += int(np.argmax(out.probs) == label)
     return hits / len(dataset.items)

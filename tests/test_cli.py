@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,22 @@ class TestStreamCommands:
             "--config", config_path, "--out", str(tmp_path / "e.jsonl"),
         ])
         assert code == 2
+
+    def test_replay_oversized_record_exits_two(self, tmp_path, model_files, capsys):
+        params_path, config_path = model_files
+        with open(params_path, "rb") as fh:
+            raw = fh.read()
+        # one more record whose dims claim 8 TiB in a file of a few hundred kB
+        huge = struct.pack("<I", 1) + b"z" + struct.pack("<BB2I", 1, 2, 2**20, 2**20)
+        bad = tmp_path / "huge.params"
+        bad.write_bytes(raw + huge + bytes(8))
+        wav = make_wav(tmp_path / "long.wav", seconds=10.0)
+        code = main([
+            "replay", "--source", wav, "--model", str(bad),
+            "--config", config_path, "--out", str(tmp_path / "e.jsonl"),
+        ])
+        assert code == 2
+        assert f"record payload truncated (at byte offset {len(raw)})" in capsys.readouterr().err
 
     def _replay(self, tmp_path, params_path, config_path):
         wav = make_wav(tmp_path / "long.wav", seconds=10.0)

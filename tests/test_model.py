@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from auscult import model, nn
 from auscult.errors import FormatError, InvalidInputError, ParseError, TooShortError
-from auscult.frontend import AudioSignal
+from auscult.frontend import AudioSignal, FrontendConfig, log_mel_spectrogram
 
 
 TINY = model.ReneConfig(
@@ -296,6 +296,45 @@ class TestReneForward:
                 probs=np.array([np.nan, np.nan]), logits=np.zeros(2),
                 embedding=np.zeros(4),
             )
+
+
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("cfg, n_mels", [(model.preset_config("toy"), 80),
+                                             (TINY, 5)], ids=["toy", "tiny"])
+    def test_same_output_as_cached_forward(self, cfg, n_mels):
+        params = model.init_rene(cfg, seed=42, n_mels=n_mels)
+        rng = np.random.default_rng(43)
+        fcfg = FrontendConfig(n_mels=n_mels)
+        sig = AudioSignal(rng.uniform(-0.5, 0.5, 4000), 16000)
+        frames = log_mel_spectrogram(sig, fcfg).frames
+        cached, tape = model.rene_apply(frames, params, cfg)
+        free, none = model.rene_apply(frames, params, cfg, cache=False)
+        assert tape is not None and none is None
+        for field in ("probs", "logits", "embedding"):
+            np.testing.assert_array_equal(getattr(free, field), getattr(cached, field))
+        np.testing.assert_array_equal(
+            model.rene_forward(sig, params, cfg, frontend_config=fcfg).probs,
+            cached.probs)
+        x = frames
+        for stage in (model.encoder_forward, model.conformer_encoder_forward,
+                      model.bigru_decode, model.trial_block_forward):
+            x = stage(x, params, cfg)
+        np.testing.assert_array_equal(x, cached.logits)
+
+    def test_ten_second_window_peaks_at_most_half(self):
+        cfg = model.preset_config("toy")
+        params = model.init_rene(cfg, seed=44)
+        frames = np.random.default_rng(45).uniform(-1, 1, (998, 80))
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                model.rene_apply(frames, params, cfg, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(cache=False) <= 0.5 * peak()
 
 
 class TestEndToEndGradient:

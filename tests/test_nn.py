@@ -1,5 +1,13 @@
+import math
+import os
+import struct
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auscult import nn
 from auscult.errors import FormatError, InvalidInputError
@@ -36,6 +44,20 @@ class TestGelu:
         np.testing.assert_allclose(y, 0.5 * x * (1.0 + t_ref), rtol=0, atol=1e-12)
         np.testing.assert_array_equal(x_cached, before)
 
+
+    def test_backward_kernel_matches_expression_and_keeps_inputs(self):
+        rng = np.random.default_rng(46)
+        x = rng.standard_normal((11, 6)) * 3
+        dy = rng.standard_normal((11, 6))
+        _, cache = nn.gelu_forward(x)
+        x_c, t = cache
+        before = [a.copy() for a in (dy, x_c, t)]
+        got = nn.gelu_backward(dy, cache)
+        dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x_c**2)
+        want = dy * (0.5 * (1.0 + t) + 0.5 * x_c * (1.0 - t**2) * dinner)
+        assert np.array_equal(got, want)
+        for a, b in zip((dy, x_c, t), before):
+            np.testing.assert_array_equal(a, b)
 
 class TestSigmoid:
     def test_extremes_finite_and_symmetric(self):
@@ -129,6 +151,29 @@ class TestLayerNorm:
         np.testing.assert_allclose(y, gain * xhat_ref + bias, rtol=0, atol=1e-12)
         assert gain_cached is gain
 
+
+    def test_backward_kernel_matches_expression_and_keeps_inputs(self):
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((2, 5, 16)) * 4 + 2
+        gain, bias = rng.standard_normal(16), rng.standard_normal(16)
+        dy = rng.standard_normal((2, 5, 16))
+        _, cache = nn.layer_norm_forward(x, gain, bias)
+        xhat, inv_std, _ = cache
+        before = [a.copy() for a in (dy, xhat, inv_std, gain)]
+        dx, grads = nn.layer_norm_backward(dy, cache)
+        dxhat = dy * gain
+        dx_ref = inv_std * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["gain"], (dy * xhat).reshape(-1, 16).sum(axis=0),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads["bias"], dy.reshape(-1, 16).sum(axis=0),
+                                   rtol=0, atol=1e-12)
+        for a, b in zip((dy, xhat, inv_std, gain), before):
+            np.testing.assert_array_equal(a, b)
 
 class TestPositionalEmbedding:
     def test_position_zero(self):
@@ -709,3 +754,121 @@ class TestParamsIo:
         params = self._params()
         again = nn.unflatten_params(nn.flatten_params(params))
         assert set(nn.flatten_params(again)) == set(nn.flatten_params(params))
+
+    def test_streaming_load_holds_no_whole_file_copy(self, tmp_path):
+        rng = np.random.default_rng(48)
+        params = {f"w{i:02d}": rng.standard_normal(32768).astype(np.float32)
+                  for i in range(64)}
+        path = tmp_path / "f32.params"
+        nn.save_params(path, params)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = nn.load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 tree alone is twice the file; a whole-file read adds one more
+        assert peak < 2.3 * size
+        assert sorted(back) == sorted(params)
+
+    def test_pipe_is_read_whole(self, tmp_path):
+        params = self._params()
+        path = tmp_path / "model.params"
+        nn.save_params(path, params)
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            back = nn.load_params(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        for name, arr in nn.flatten_params(params).items():
+            np.testing.assert_array_equal(nn.flatten_params(back)[name], arr)
+
+
+def params_record(name: bytes, tag: int, dims, payload: bytes, name_len=None):
+    """One `save_params` record, with the name length free to lie."""
+    return (struct.pack("<I", len(name) if name_len is None else name_len) + name
+            + struct.pack("<BB", tag, len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+PARAMS_HEAD = b"RENE" + struct.pack("<I", 1)
+
+
+@st.composite
+def params_files(draw):
+    """A header and records, one in five of them broken, then maybe cut short."""
+    out = b"RENE" + struct.pack("<I", draw(st.sampled_from([1, 1, 1, 2])))
+    for _ in range(draw(st.integers(0, 4))):
+        broken = draw(st.integers(0, 4)) == 4
+        name = draw(st.binary(max_size=4) if broken
+                    else st.sampled_from([b"a", b"b", b"c", b"a.b", b"a.c", b"b.a.c"]))
+        name_len = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1))) if broken else None
+        tag = draw(st.integers(0, 255) if broken else st.integers(0, 1))
+        dims = draw(st.lists(st.integers(0, 2**32 - 1) if broken else st.integers(0, 3),
+                             max_size=3))
+        nbytes = math.prod(dims) * (4 if tag == 0 else 8)
+        payload = bytes(min(nbytes, 256)) + (draw(st.binary(max_size=3)) if broken else b"")
+        out += params_record(name, tag, dims, payload, name_len)
+    return out[:draw(st.integers(0, len(out)))] if draw(st.integers(0, 3)) == 3 else out
+
+
+class TestParamsFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=80),
+                         st.binary(max_size=80).map(PARAMS_HEAD.__add__),
+                         params_files()))
+    def test_arbitrary_bytes_load_or_raise_format_error(self, fuzz_dir, raw):
+        path = fuzz_dir / "fuzz.params"
+        path.write_bytes(raw)
+        try:
+            tree = nn.load_params(path)
+        except FormatError:
+            return
+        assert isinstance(tree, dict)
+        for arr in nn.flatten_params(tree).values():
+            assert arr.dtype == np.float64
+
+    @pytest.mark.parametrize("dims", [(2**20, 2**20), (2**32 - 1, 2**32 - 1),
+                                      (2**32 - 1,) * 3])
+    def test_oversized_record_rejected_without_allocating(self, tmp_path, dims):
+        path = tmp_path / "huge.params"
+        first = params_record(b"ok", 1, (2,), bytes(16))
+        path.write_bytes(PARAMS_HEAD + first + params_record(b"w", 1, dims, bytes(8)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload truncated") as exc:
+                nn.load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == len(PARAMS_HEAD + first)
+        assert peak < 2**20
+
+    def test_empty_record_with_overflowing_dims_rejected(self, tmp_path):
+        path = tmp_path / "empty.params"
+        path.write_bytes(PARAMS_HEAD + params_record(b"w", 1, (0,) + (2**32 - 1,) * 3, b""))
+        with pytest.raises(FormatError, match="too large") as exc:
+            nn.load_params(path)
+        assert exc.value.offset == 8
+
+    @pytest.mark.parametrize("names, message", [
+        ((b"a", b"a.b"), "nests under another leaf"),
+        ((b"a.b", b"a"), "also a group"),
+        ((b"a", b"a"), "repeats"),
+    ], ids=["leaf-then-group", "group-then-leaf", "repeat"])
+    def test_conflicting_names_rejected(self, tmp_path, names, message):
+        path = tmp_path / "conflict.params"
+        path.write_bytes(PARAMS_HEAD + b"".join(
+            params_record(n, 1, (1,), bytes(8)) for n in names))
+        with pytest.raises(FormatError, match=message):
+            nn.load_params(path)
