@@ -262,34 +262,26 @@ def cmd_gbdt(args):
     return 0
 
 
-def _read_prob_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise InvalidInputError(f"{path}: need a header and at least one row")
-    labels = tuple(h.strip() for h in rows[0])
-    vectors = []
-    for row in rows[1:]:
-        probs = np.array([float(v) for v in row])
-        vectors.append(ProbabilityVector(probs=probs, label_map=labels))
-    return vectors, labels
-
-
-def _read_truth_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["label"]:
-        raise InvalidInputError(f"{path}: header must be 'label'")
-    return np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-
-
 def cmd_fuse(args):
-    p_rene, labels_a = _read_prob_csv(args.rene)
-    p_gbdt, labels_b = _read_prob_csv(args.gbdt)
-    if labels_a != labels_b:
-        raise InvalidInputError("probability files have different classes")
-    truths = _read_truth_csv(args.truth)
-    rows = alpha_sweep(p_rene, p_gbdt, truths, normal_class=args.normal_class)
+    prob_sets = []
+    for path in (args.rene, args.gbdt):
+        table = emr_mod.read_emr_csv(path)
+        if table.n_rows == 0:
+            raise InvalidInputError(f"{path}: need a header and at least one row")
+        labels = tuple(table.columns)
+        prob_sets.append([ProbabilityVector(probs=row, label_map=labels)
+                          for row in table.matrix(labels)])
+    truth = emr_mod.read_emr_csv(args.truth)
+    if list(truth.columns) != ["label"]:
+        raise InvalidInputError(f"{args.truth}: header must be 'label'")
+    truths = truth.columns["label"]
+    # alpha_sweep checks that both files name the same classes; a
+    # non-numeric label column is a list of strings, a blank row a NaN
+    if not np.all(np.isin(truths, np.arange(len(labels)))):
+        raise InvalidInputError(
+            f"{args.truth}: labels must be class indices in [0, {len(labels)})")
+    rows = alpha_sweep(*prob_sets, truths.astype(np.int64),
+                       normal_class=args.normal_class)
     write_sweep_csv(rows, args.out)
     best_alpha, best = max(rows, key=lambda r: r[1].final_score)
     print(f"best alpha {best_alpha:.1f} with score {best.final_score:.4f}")

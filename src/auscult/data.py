@@ -159,34 +159,36 @@ def _resample_linear(samples, rate_in: int, rate_out: int):
 
 def parse_cycle_annotations(path):
     """Whitespace-separated lines: begin end crackles wheezes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 4:
-                raise ParseError(
-                    f"expected 4 columns, got {len(fields)}", line=line_no
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        fields = stripped.split()
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 columns, got {len(fields)}", line=line_no)
+        try:
+            begin, end = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise ParseError("times must be numeric", line=line_no)
+        if fields[2] not in ("0", "1") or fields[3] not in ("0", "1"):
+            raise ParseError("flags must be 0 or 1", line=line_no)
+        try:
+            records.append(
+                AnnotationRecord(
+                    begin_s=begin,
+                    end_s=end,
+                    crackles=fields[2] == "1",
+                    wheezes=fields[3] == "1",
                 )
-            try:
-                begin, end = float(fields[0]), float(fields[1])
-            except ValueError:
-                raise ParseError("times must be numeric", line=line_no)
-            if fields[2] not in ("0", "1") or fields[3] not in ("0", "1"):
-                raise ParseError("flags must be 0 or 1", line=line_no)
-            try:
-                records.append(
-                    AnnotationRecord(
-                        begin_s=begin,
-                        end_s=end,
-                        crackles=fields[2] == "1",
-                        wheezes=fields[3] == "1",
-                    )
-                )
-            except InvalidInputError as exc:
-                raise ParseError(str(exc), line=line_no)
+            )
+        except InvalidInputError as exc:
+            raise ParseError(str(exc), line=line_no)
     return records
 
 
@@ -203,8 +205,12 @@ def load_manifest(path) -> Manifest:
     under two patient ids."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc)) from None
     if not rows or [h.strip() for h in rows[0]] != MANIFEST_COLUMNS:
         raise ParseError(
             f"manifest header must be {','.join(MANIFEST_COLUMNS)}", line=1

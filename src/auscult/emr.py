@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .errors import (
 
 EPS_HESSIAN = 1e-12
 KMEANS_MAX_ITER = 300
+KMEANS_RESTARTS = 4
+# a node with fewer rows than this becomes a leaf
+GBDT_MIN_SAMPLES = 2
 
 
 # -------------------------------------------------------------------- table
@@ -159,10 +162,6 @@ def label_encode(values):
     return codes, classes
 
 
-def label_decode(codes, classes):
-    return [classes[int(i)] for i in codes]
-
-
 # ---------------------------------------------------------------- correlation
 
 def pearson(x, y) -> float:
@@ -300,17 +299,17 @@ def _lloyd_run(points, centroids):
     return centroids, assignments, inertia
 
 
-def kmeans_fit(points, k: int, seed: int = 0, restarts: int = 4,
-               dists=None) -> ClusterModel:
-    """Best of `restarts` greedy k-means++ / Lloyd runs by inertia. `dists`,
-    the points' (n, n) distance matrix, is handed on to `silhouette`."""
+def kmeans_fit(points, k: int, seed: int = 0, dists=None) -> ClusterModel:
+    """Best of KMEANS_RESTARTS greedy k-means++ / Lloyd runs by inertia.
+    `dists`, the points' (n, n) distance matrix, is handed on to
+    `silhouette`."""
     points = _check_points(points)
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(KMEANS_RESTARTS):
         init = _kmeans_pp_init(points, k, rng)
         centroids, assignments, inertia = _lloyd_run(points, init)
         if best is None or inertia < best[2]:
@@ -364,7 +363,7 @@ def silhouette(points, assignments, dists=None):
     return scores, float(scores.mean())
 
 
-def select_k(points, k_range, seed: int = 0, restarts: int = 4):
+def select_k(points, k_range, seed: int = 0):
     """Fit every k; return (best_k, model) maximizing mean silhouette,
     ties broken toward smaller k. One distance matrix serves every k."""
     ks = sorted(set(int(k) for k in k_range))
@@ -377,7 +376,7 @@ def select_k(points, k_range, seed: int = 0, restarts: int = 4):
     dists = _distance_matrix(points)
     best_k, best_model = None, None
     for k in ks:
-        model = kmeans_fit(points, k, seed=seed, restarts=restarts, dists=dists)
+        model = kmeans_fit(points, k, seed=seed, dists=dists)
         if best_model is None or model.silhouette_mean > best_model.silhouette_mean:
             best_k, best_model = k, model
     return best_k, best_model
@@ -441,6 +440,8 @@ def smote_oversample(minority, n_synthetic: int, k_neighbors: int = 5, seed: int
         raise InvalidInputError("minority rows must be an (m, d) matrix")
     if not np.all(np.isfinite(minority)):
         raise NonFiniteError("minority rows must be finite")
+    if k_neighbors < 1:
+        raise InvalidInputError(f"k_neighbors must be >= 1, got {k_neighbors}")
     m = minority.shape[0]
     if m <= k_neighbors:
         raise InvalidInputError(
@@ -469,10 +470,9 @@ class GbdtParams:
     n_rounds: int = 50
     max_depth: int = 3
     learning_rate: float = 0.1
-    min_samples: int = 2
 
     def __post_init__(self):
-        if self.n_rounds < 0 or self.max_depth < 1 or self.min_samples < 2:
+        if self.n_rounds < 0 or self.max_depth < 1:
             raise InvalidInputError("bad GBDT params")
         if not 0 < self.learning_rate <= 1:
             raise InvalidInputError("learning_rate must be in (0, 1]")
@@ -491,12 +491,12 @@ class GbdtModel:
         return len(self.trees)
 
 
-def _fit_tree(x, grad, hess, depth_left, min_samples, gains):
+def _fit_tree(x, grad, hess, depth_left, gains):
     g_total = grad.sum()
     h_total = hess.sum()
     leaf = {"leaf": -g_total / (h_total + EPS_HESSIAN)}
     n = x.shape[0]
-    if depth_left == 0 or n < min_samples:
+    if depth_left == 0 or n < GBDT_MIN_SAMPLES:
         return leaf
 
     parent_score = g_total**2 / (h_total + EPS_HESSIAN)
@@ -533,9 +533,9 @@ def _fit_tree(x, grad, hess, depth_left, min_samples, gains):
         "threshold": threshold,
         "gain": best_gain,
         "left": _fit_tree(x[mask], grad[mask], hess[mask],
-                          depth_left - 1, min_samples, gains),
+                          depth_left - 1, gains),
         "right": _fit_tree(x[~mask], grad[~mask], hess[~mask],
-                           depth_left - 1, min_samples, gains),
+                           depth_left - 1, gains),
     }
 
 
@@ -584,8 +584,7 @@ def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
         for c in range(n_classes):
             grad = probs[:, c] - onehot[:, c]
             hess = probs[:, c] * (1.0 - probs[:, c])
-            tree = _fit_tree(x, grad, hess, params.max_depth,
-                             params.min_samples, gains)
+            tree = _fit_tree(x, grad, hess, params.max_depth, gains)
             round_trees.append(tree)
             scores[:, c] += params.learning_rate * _tree_predict(tree, x)
         trees.append(round_trees)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,7 +62,6 @@ class FrontendConfig:
     f_min_hz: float = 50.0
     f_max_hz: float = 2500.0
     n_fft: int = 512
-    n_mfcc: int = 13
 
     def __post_init__(self):
         if not 0.0 <= self.preemphasis_alpha < 1.0:
@@ -71,8 +70,8 @@ class FrontendConfig:
             raise InvalidInputError("need 0 < f_min_hz < f_max_hz")
         if self.hop_ms > self.win_ms:
             raise InvalidInputError("hop_ms must not exceed win_ms")
-        if self.n_mels < 1 or self.n_mfcc < 1:
-            raise InvalidInputError("n_mels and n_mfcc must be positive")
+        if self.n_mels < 1:
+            raise InvalidInputError("n_mels must be positive")
 
     def win_samples(self, sample_rate: int) -> int:
         return int(round(self.win_ms * sample_rate / 1000.0))
@@ -220,16 +219,11 @@ def _mel_projection(config: FrontendConfig, sample_rate: int):
     return window, weights_t
 
 
-def log_mel_spectrogram(
-    signal: AudioSignal,
-    config: FrontendConfig,
-    normalization: tuple[float, float] | None = None,
-) -> LogMelSpectrogram:
+def log_mel_spectrogram(signal: AudioSignal,
+                        config: FrontendConfig) -> LogMelSpectrogram:
     """Full front-end pipeline producing a normalized (T, n_mels) matrix.
 
-    With `normalization` = (mean, max_abs) the precomputed corpus statistic is
-    applied: subtract the mean, divide by max_abs, clip to [-1, 1]. Without it
-    the clip is min-max scaled to [-1, 1] on its own; a degenerate constant
+    The clip is min-max scaled to [-1, 1] on its own; a degenerate constant
     spectrogram (e.g. digital silence) normalizes to all zeros.
     """
     sr = signal.sample_rate
@@ -247,17 +241,11 @@ def log_mel_spectrogram(
     log_mel += LOG_FLOOR
     np.log(log_mel, out=log_mel)
 
-    if normalization is not None:
-        mean, max_abs = normalization
-        if max_abs <= 0:
-            raise InvalidInputError("normalization max_abs must be positive")
-        scaled = np.clip((log_mel - mean) / max_abs, -1.0, 1.0)
+    lo, hi = log_mel.min(), log_mel.max()
+    if hi - lo < 1e-12:
+        scaled = np.zeros_like(log_mel)
     else:
-        lo, hi = log_mel.min(), log_mel.max()
-        if hi - lo < 1e-12:
-            scaled = np.zeros_like(log_mel)
-        else:
-            scaled = 2.0 * (log_mel - lo) / (hi - lo) - 1.0
+        scaled = 2.0 * (log_mel - lo) / (hi - lo) - 1.0
 
     hop = config.hop_samples(sr)
     times = np.arange(frames.shape[0]) * hop / sr
@@ -281,22 +269,9 @@ def mfcc(spec: LogMelSpectrogram, n_mfcc: int) -> np.ndarray:
     return spec.frames @ _dct_ii_matrix(n)[:n_mfcc].T
 
 
-def inverse_mfcc(coeffs: np.ndarray, n_mels: int) -> np.ndarray:
-    """Invert a full-length MFCC matrix back to log-mel frames (orthonormality)."""
-    if coeffs.shape[1] != n_mels:
-        raise InvalidInputError("inverse needs all coefficients")
-    return coeffs @ _dct_ii_matrix(n_mels)
-
-
 def write_spectrogram_csv(spec: LogMelSpectrogram, path) -> None:
     """One row per frame, comma-separated mel channels, no header."""
     np.savetxt(path, spec.frames, delimiter=",", fmt="%.17e")
-
-
-def read_spectrogram_csv(path, hop_s: float = 0.010) -> LogMelSpectrogram:
-    frames = np.loadtxt(path, delimiter=",", ndmin=2)
-    times = np.arange(frames.shape[0]) * hop_s
-    return LogMelSpectrogram(frames=frames, frame_times=times)
 
 
 def write_spectrogram_f32(spec: LogMelSpectrogram, path) -> None:
@@ -304,16 +279,3 @@ def write_spectrogram_f32(spec: LogMelSpectrogram, path) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", spec.n_frames, spec.n_mels))
         fh.write(spec.frames.astype("<f4").tobytes())
-
-
-def read_spectrogram_f32(path, hop_s: float = 0.010) -> LogMelSpectrogram:
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise InvalidInputError("truncated spectrogram header")
-        n_frames, n_mels = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != n_frames * n_mels:
-        raise InvalidInputError("spectrogram payload does not match header")
-    frames = data.reshape(n_frames, n_mels).astype(np.float64)
-    return LogMelSpectrogram(frames=frames, frame_times=np.arange(n_frames) * hop_s)

@@ -179,25 +179,3 @@ def write_sweep_csv(rows, path) -> None:
                 f"{m.hs:.6f}",
                 f"{m.final_score:.6f}",
             ])
-
-
-def aggregate_patient_probs(vectors, mode: str = "mean") -> ProbabilityVector:
-    """Combine per-recording vectors into one patient-level vector.
-
-    mean: arithmetic mean (still a simplex). max: per-class max renormalized
-    to sum 1.
-    """
-    if not vectors:
-        raise InvalidInputError("no vectors to aggregate")
-    label_map = vectors[0].label_map
-    if any(v.label_map != label_map for v in vectors):
-        raise InvalidInputError("label maps differ across recordings")
-    stacked = np.stack([v.probs for v in vectors])
-    if mode == "mean":
-        probs = stacked.mean(axis=0)
-    elif mode == "max":
-        probs = stacked.max(axis=0)
-        probs = probs / probs.sum()
-    else:
-        raise InvalidInputError(f"unknown aggregation mode {mode!r}")
-    return ProbabilityVector(probs=probs, label_map=label_map)

@@ -15,7 +15,7 @@ nested dict tree whose shape mirrors the gradients returned by `rene_grad`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class ReneConfig:
             raise InvalidInputError("layer counts must be positive")
         if min(self.whisper_dim, self.conformer_dim, self.bigru_hidden) < 1:
             raise InvalidInputError("dims must be positive")
+        if min(self.whisper_heads, self.conformer_heads) < 1:
+            raise InvalidInputError("head counts must be positive")
         if self.whisper_dim % self.whisper_heads != 0:
             raise InvalidInputError("whisper_dim not divisible by whisper_heads")
         if self.conformer_dim % self.conformer_heads != 0:
@@ -314,7 +316,7 @@ def _encoder_apply(frames, params, cfg, cache=True):
     return y, ((c_stem, block_caches, c_ln) if cache else None)
 
 
-def _encoder_backward(dy, cache, params, cfg):
+def _encoder_backward(dy, cache, cfg):
     c_stem, block_caches, c_ln = cache
     grads: dict = {}
     dh, grads["ln_final"] = nn.layer_norm_backward(dy, c_ln)
@@ -354,7 +356,7 @@ def _conformer_block_apply(x, p, n_heads, cache=True):
     return y, ((c_f1, c_a, c_c, c_f2, c_ln) if cache else None)
 
 
-def _conformer_block_backward(dy, cache, p):
+def _conformer_block_backward(dy, cache):
     c_f1, c_a, c_c, c_f2, c_ln = cache
     dx4, g_lnf = nn.layer_norm_backward(dy, c_ln)
     df2, g_f2 = _ff_backward(0.5 * dx4, c_f2)
@@ -385,14 +387,12 @@ def _conformer_apply(x, params, cfg, cache=True):
     return h, ((c_stem, c_proj, block_caches) if cache else None)
 
 
-def _conformer_backward(dy, cache, params, cfg):
+def _conformer_backward(dy, cache, cfg):
     c_stem, c_proj, block_caches = cache
     g_blocks: dict = {}
     dh = dy
     for i in reversed(range(cfg.conformer_layers)):
-        dh, g = _conformer_block_backward(
-            dh, block_caches[i], params["conformer"][f"block{i}"]
-        )
+        dh, g = _conformer_block_backward(dh, block_caches[i])
         g_blocks[f"block{i}"] = g
     dg2, g_proj = nn.linear_backward(dh, c_proj)
     dx, g_sub = _conv_stem_backward(dg2, c_stem)
@@ -436,7 +436,7 @@ def _branch_apply(x, kernels, params, prefix, cache=True):
     return h, (caches if cache else None)
 
 
-def _branch_backward(dh, caches, params, prefix):
+def _branch_backward(dh, caches, prefix):
     grads = {}
     for i in reversed(range(len(caches))):
         c, cg = caches[i]
@@ -465,16 +465,15 @@ def _trial_apply(fmap, params, cfg, cache=True):
     return logits, ((c_left, c_right, fmap.shape, c_head) if cache else None)
 
 
-def _trial_backward(dlogits, cache, params, cfg):
+def _trial_backward(dlogits, cache, cfg):
     c_left, c_right, fmap_shape, c_head = cache
     rows, cols = fmap_shape
     dpooled, g_head = nn.linear_backward(dlogits, c_head)
     dmerged = np.broadcast_to(
         dpooled / (rows * cols), (rows, cols, cfg.trial_channels)
     ).copy()
-    tp = params["trial"]
-    dl, g_left = _branch_backward(dmerged, c_left, tp, "left")
-    dr, g_right = _branch_backward(dmerged, c_right, tp, "right")
+    dl, g_left = _branch_backward(dmerged, c_left, "left")
+    dr, g_right = _branch_backward(dmerged, c_right, "right")
     dcenter = dmerged.sum(axis=2, keepdims=True)
     dfmap = (dl + dr + dcenter)[:, :, 0]
     return dfmap, {**g_left, **g_right, "head": g_head}
@@ -506,24 +505,18 @@ def rene_apply(frames, params, cfg: ReneConfig, cache=True):
 def rene_grad(dlogits, cache, params, cfg: ReneConfig) -> dict:
     """Backward from a logits gradient to the full parameter-gradient tree."""
     c_enc, c_conf, c_bg, c_trial = cache
-    dfmap, g_trial = _trial_backward(dlogits, c_trial, params, cfg)
+    dfmap, g_trial = _trial_backward(dlogits, c_trial, cfg)
     dseq, g_bigru = nn.bigru_backward(None, dfmap.reshape(-1), c_bg, params["bigru"])
-    dconf_in, g_sub, g_blocks = _conformer_backward(dseq, c_conf, params, cfg)
-    _dx, g_enc = _encoder_backward(dconf_in, c_enc, params, cfg)
+    dconf_in, g_sub, g_blocks = _conformer_backward(dseq, c_conf, cfg)
+    _dx, g_enc = _encoder_backward(dconf_in, c_enc, cfg)
     return {"encoder": g_enc, "subsample": g_sub, "conformer": g_blocks,
             "bigru": g_bigru, "trial": g_trial}
 
 
-def rene_forward(
-    signal: AudioSignal,
-    params,
-    cfg: ReneConfig,
-    frontend_config: FrontendConfig | None = None,
-    normalization: tuple[float, float] | None = None,
-) -> ReneOutput:
-    """Raw audio to class probabilities through the whole pipeline."""
-    fcfg = frontend_config or FrontendConfig()
-    spec = log_mel_spectrogram(signal, fcfg, normalization)
+def rene_forward(signal: AudioSignal, params, cfg: ReneConfig) -> ReneOutput:
+    """Raw audio to class probabilities through the whole pipeline, with the
+    default front end."""
+    spec = log_mel_spectrogram(signal, FrontendConfig())
     return rene_apply(spec.frames, params, cfg, cache=False)[0]
 
 
@@ -574,29 +567,33 @@ def load_model_config(path) -> ReneConfig:
     values: dict = {}
     kernels = {"trial_kernels_left": (), "trial_kernels_center": (),
                "trial_kernels_right": ()}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", line=line_no)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in kernels:
-                try:
-                    kernels[key] = tuple(
-                        int(tok) for tok in value.split(",") if tok.strip()
-                    )
-                except ValueError:
-                    raise ParseError(f"bad kernel list {value!r}", line=line_no)
-            elif key in _INT_FIELDS:
-                try:
-                    values[key] = int(value)
-                except ValueError:
-                    raise ParseError(f"bad integer {value!r} for {key}", line=line_no)
-            else:
-                raise ParseError(f"unknown config key {key!r}", line=line_no)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", line=line_no)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in kernels:
+            try:
+                kernels[key] = tuple(
+                    int(tok) for tok in value.split(",") if tok.strip()
+                )
+            except ValueError:
+                raise ParseError(f"bad kernel list {value!r}", line=line_no)
+        elif key in _INT_FIELDS:
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ParseError(f"bad integer {value!r} for {key}", line=line_no)
+        else:
+            raise ParseError(f"unknown config key {key!r}", line=line_no)
     missing = [k for k in _INT_FIELDS if k not in values]
     if missing:
         raise ParseError(f"missing config keys: {', '.join(missing)}")

@@ -3,8 +3,8 @@ in 10 ms units while a consumer decodes consecutive 10 s windows.
 
 The ring buffer is single-producer/single-consumer. Reads use a snapshot
 protocol: copy the span, then confirm the writer has not advanced far enough
-to have touched it; a failed check means the copy may be torn, so the reader
-retries (freshest-window reads) or skips forward (scheduled reads).
+to have touched it; a failed check means the copy may be torn, so the
+consumer skips forward to the freshest complete window.
 
 `replay_offline` computes the identical window schedule synchronously and is
 the equivalence oracle for the threaded path. Both paths quantize the source
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotReadyError, ProducerError, StaleWindowError
-from .frontend import AudioSignal, FrontendConfig
+from .frontend import AudioSignal
 from .fusion import ProbabilityVector
 from .model import rene_forward
 
@@ -80,7 +80,8 @@ class RingBuffer:
     def read_at(self, start: int, n: int) -> np.ndarray:
         """Copy absolute span [start, start + n); raises NotReadyError before
         the data arrives and StaleWindowError once it is overwritten."""
-        if start < 0 or n < 1 or n > self.capacity:
+        # a span within one unit of the capacity could never pass the check
+        if start < 0 or n < 1 or n > self.capacity - self.unit_samples:
             raise InvalidInputError("bad span")
         if self._cursor < start + n:
             raise NotReadyError(f"only {self._cursor} samples written")
@@ -90,22 +91,6 @@ class RingBuffer:
         if self._cursor > self._stable_horizon(start):
             raise StaleWindowError(f"span starting at {start} overwritten mid-read")
         return out
-
-    def read_window(self, duration_s: float):
-        """Most recent duration_s of audio, unwrapped into chronological
-        order; returns (samples, start_cursor)."""
-        n = int(round(duration_s * self.sample_rate))
-        if n < 1 or n > self.capacity - self.unit_samples:
-            raise InvalidInputError("duration must fit inside the buffer")
-        while True:
-            cursor = self._cursor
-            if cursor < n:
-                raise NotReadyError(f"need {n} samples, have {cursor}")
-            start = cursor - n
-            out = self._copy_span(start, n)
-            if self._cursor <= self._stable_horizon(start):
-                return out, start
-            # writer lapped us mid-copy; take a fresher snapshot
 
 
 @dataclass(frozen=True)
@@ -163,9 +148,9 @@ def _default_labels(n_classes: int):
 
 
 def _decode_window(samples: np.ndarray, sample_rate: int, params, model_cfg,
-                   frontend_cfg, labels) -> ProbabilityVector:
+                   labels) -> ProbabilityVector:
     signal = AudioSignal(samples=samples, sample_rate=sample_rate)
-    output = rene_forward(signal, params, model_cfg, frontend_config=frontend_cfg)
+    output = rene_forward(signal, params, model_cfg)
     return ProbabilityVector(probs=output.probs, label_map=labels)
 
 
@@ -179,8 +164,7 @@ def _session_plan(cfg: SessionConfig, signal: AudioSignal):
     return sr, unit, window, samples32, n_units, total_windows
 
 
-def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
-                labels=None):
+def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
     """Threaded producer/consumer session over a simulated microphone.
 
     Returns (events, warnings). The producer paces 10 ms pushes at
@@ -190,8 +174,6 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     Raises ProducerError if the producer dies before its last unit, or
     stops pushing for STALL_S while the consumer waits.
     """
-    if frontend_cfg is None:
-        frontend_cfg = FrontendConfig()
     signal = _as_signal(cfg.source)
     sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
     if labels is None:
@@ -250,7 +232,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
             m = max(freshest, m)
             continue
         t_dec = time.perf_counter()
-        probs = _decode_window(data, sr, params, model_cfg, frontend_cfg, labels)
+        probs = _decode_window(data, sr, params, model_cfg, labels)
         latency_ms = (time.perf_counter() - t_dec) * 1000.0
         events.append(StreamEvent(
             timestamp=m * cfg.window_s,
@@ -263,11 +245,8 @@ def run_session(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     return events, warnings
 
 
-def replay_offline(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
-                   labels=None):
+def replay_offline(cfg: SessionConfig, params, model_cfg, labels=None):
     """Synchronous oracle: same schedule and inference, no threads."""
-    if frontend_cfg is None:
-        frontend_cfg = FrontendConfig()
     signal = _as_signal(cfg.source)
     sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
     if labels is None:
@@ -277,7 +256,7 @@ def replay_offline(cfg: SessionConfig, params, model_cfg, frontend_cfg=None,
     for m in range(1, total_windows + 1):
         data = samples32[(m - 1) * window: m * window].astype(np.float64)
         t_dec = time.perf_counter()
-        probs = _decode_window(data, sr, params, model_cfg, frontend_cfg, labels)
+        probs = _decode_window(data, sr, params, model_cfg, labels)
         latency_ms = (time.perf_counter() - t_dec) * 1000.0
         events.append(StreamEvent(
             timestamp=m * cfg.window_s,

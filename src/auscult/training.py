@@ -17,6 +17,10 @@ from .errors import InvalidInputError, NonFiniteError, TrainingDivergedError
 from .model import ReneConfig, init_rene, rene_apply, rene_grad
 
 PT_FLOOR = 1e-12
+# step decay: the learning rate is multiplied by LR_DECAY_FACTOR every
+# LR_DECAY_EVERY updates
+LR_DECAY_FACTOR = 0.1
+LR_DECAY_EVERY = 2000
 
 
 @dataclass(frozen=True)
@@ -24,16 +28,12 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 60
     lr0: float = 1e-6
-    decay_factor: float = 0.1
-    decay_every: int = 2000
     gamma: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.decay_every < 1:
-            raise InvalidInputError("batch_size, epochs, decay_every must be >= 1")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise InvalidInputError("decay_factor must be in (0, 1)")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise InvalidInputError("batch_size and epochs must be >= 1")
         if not 0.0 <= self.gamma <= 5.0:
             raise InvalidInputError("gamma must be in [0, 5]")
         if self.lr0 <= 0:
@@ -131,7 +131,7 @@ def item_sampling_weights(dataset: LabeledDataset) -> np.ndarray:
 def lr_at_step(step: int, cfg: TrainConfig) -> float:
     if step < 0:
         raise InvalidInputError("step must be >= 0")
-    return cfg.lr0 * cfg.decay_factor ** (step // cfg.decay_every)
+    return cfg.lr0 * LR_DECAY_FACTOR ** (step // LR_DECAY_EVERY)
 
 
 # ------------------------------------------------------------------ tree math
@@ -159,20 +159,14 @@ def sgd_step(params, grads, lr: float):
 
 # -------------------------------------------------------------- training loop
 
-def train_toy(
-    dataset: LabeledDataset,
-    model_cfg: ReneConfig,
-    train_cfg: TrainConfig,
-    trace_path=None,
-    n_mels: int = 80,
-):
+def train_toy(dataset: LabeledDataset, model_cfg: ReneConfig, train_cfg: TrainConfig):
     """Mini-batch SGD with focal loss, replacement sampling weighted for class
     balance, and the step-decay schedule. Returns (params, trace) where trace
     rows are (epoch, mean_loss, lr of the epoch's last update).
     """
     if not dataset.items:
         raise InvalidInputError("dataset is empty")
-    params = init_rene(model_cfg, train_cfg.seed, n_mels)
+    params = init_rene(model_cfg, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     weights = item_sampling_weights(dataset)
     n_items = len(dataset.items)
@@ -206,8 +200,6 @@ def train_toy(
             step += 1
         trace.append((epoch, float(np.mean(epoch_losses)), lr))
 
-    if trace_path is not None:
-        write_loss_trace(trace_path, trace)
     return params, trace
 
 

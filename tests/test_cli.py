@@ -132,6 +132,19 @@ class TestEval:
         assert rows[0] == ["se", "sp", "as", "hs", "score"]
         assert len(rows) == 2
 
+    def test_non_utf8_config_exits_two(self, tmp_path, model_files, capsys):
+        params_path, config_path = model_files
+        make_wav(tmp_path / "rec.wav", seconds=1.0)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "wav_path,annotation_path,patient_id,emr_key\nrec.wav,label:0,p1,\n"
+        )
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(Path(config_path).read_bytes() + b"# \xff\n")
+        assert main(["eval", "--manifest", str(manifest), "--params", params_path,
+                     "--config", str(config)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestCluster:
     def test_fixed_k(self, tmp_path, capsys):
@@ -268,6 +281,13 @@ class TestSmote:
         err = capsys.readouterr().err
         assert "--k-neighbors=5" in err and "'asthma': 4" in err and "'copd': 3" in err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_neighbor_count_below_one_exits_two(self, tmp_path, capsys, k):
+        emr = make_emr(tmp_path / "emr.csv", n_a=12, n_b=8)
+        assert main(["smote", "--emr", emr, "--features", "age,bmi",
+                     "--k-neighbors", k, "--out", str(tmp_path / "b.csv")]) == 2
+        assert "k_neighbors must be >= 1" in capsys.readouterr().err
+
 
 class TestGbdt:
     def test_fit_importance_predict(self, tmp_path, capsys):
@@ -332,6 +352,31 @@ class TestFuse:
         assert main(["fuse", "--rene", str(a), "--gbdt", str(b),
                      "--truth", str(truth), "--out",
                      str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("name, raw, message", [
+        ("rene", b"normal,crackle\n0.5,0.5\nhigh,0.5\n", "is not numeric"),
+        ("truth", b"label\n0\n\n", "class indices"),
+        ("truth", b"label\n0\nzero\n", "class indices"),
+        ("truth", b"label\n0\n1.5\n", "class indices"),
+        ("truth", b"label\n0\n2\n", "class indices"),
+        ("gbdt", b"normal,crackle\n0.5,0.5\n0.5,0.5\xff\n", "not UTF-8"),
+        ("truth", b"label\n0\n\xff\n", "not UTF-8"),
+        ("rene", b"normal,crackle\n", "at least one row"),
+        ("truth", b"class\n0\n1\n", "header must be 'label'"),
+    ], ids=["non-numeric-prob", "blank-truth", "word-truth", "fraction-truth",
+            "truth-out-of-range", "non-utf8-probs", "non-utf8-truth", "no-rows",
+            "truth-header"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, name, raw, message):
+        files = {"rene": b"normal,crackle\n0.5,0.5\n0.2,0.8\n",
+                 "gbdt": b"normal,crackle\n0.9,0.1\n0.4,0.6\n",
+                 "truth": b"label\n0\n1\n", name: raw}
+        argv = ["fuse", "--out", str(tmp_path / "o.csv")]
+        for key, content in files.items():
+            path = tmp_path / f"{key}.csv"
+            path.write_bytes(content)
+            argv += [f"--{key}", str(path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestStreamCommands:
@@ -424,6 +469,19 @@ class TestStreamCommands:
         save_params(bad, flat)
         assert self._replay(tmp_path, bad, config_path) == 2
         assert f"parameter {leaf}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["whisper_heads=0", "whisper_heads=-2",
+                                      "conformer_heads=0", "conformer_heads=-2"])
+    def test_replay_bad_head_count_exits_two(self, tmp_path, model_files, capsys,
+                                             line):
+        params_path, config_path = model_files
+        key = line.split("=")[0] + "="
+        lines = Path(config_path).read_text().splitlines()
+        edited = tmp_path / "edited.cfg"
+        edited.write_text("\n".join(line if row.startswith(key) else row
+                                    for row in lines) + "\n")
+        assert self._replay(tmp_path, params_path, edited) == 2
+        assert "head counts must be positive" in capsys.readouterr().err
 
     def test_stream_accelerated(self, tmp_path, model_files, capsys):
         params_path, config_path = model_files

@@ -5,6 +5,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auscult.data import (
     AnnotationRecord,
@@ -13,7 +15,13 @@ from auscult.data import (
     load_wav,
     parse_cycle_annotations,
 )
-from auscult.errors import DataError, FormatError, InvalidInputError, ParseError
+from auscult.errors import (
+    AuscultError,
+    DataError,
+    FormatError,
+    InvalidInputError,
+    ParseError,
+)
 from auscult.frontend import FrontendConfig
 
 
@@ -157,6 +165,12 @@ class TestAnnotations:
         with pytest.raises(ParseError, match="flags"):
             parse_cycle_annotations(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_bytes(b"0.0 1.0 0 0\n\xff\xfe 2.0 0 0\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_cycle_annotations(path)
+
     def test_record_invariant(self):
         with pytest.raises(InvalidInputError):
             AnnotationRecord(begin_s=-0.5, end_s=1.0, crackles=False, wheezes=False)
@@ -242,6 +256,43 @@ class TestManifest:
         )
         with pytest.raises(ParseError, match="inline label"):
             load_manifest(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        make_corpus(tmp_path)
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"wav_path,annotation_path,patient_id,emr_key\n"
+                         b"rec.wav,label:0,p\xe9,\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_manifest(path)
+
+
+MANIFEST_CELLS = st.sampled_from(
+    ["", "rec.wav", "ghost.wav", "rec.txt", "label:0", "label:x", "label:",
+     "p1", "p2", "101", '"rec.wav"', "a,b", "\x00"])
+
+
+@st.composite
+def manifest_bytes(draw):
+    rows = draw(st.lists(st.lists(MANIFEST_CELLS, min_size=3, max_size=5),
+                         max_size=5))
+    return ("wav_path,annotation_path,patient_id,emr_key\n"
+            + "".join(",".join(r) + "\n" for r in rows)).encode()
+
+
+class TestManifestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=200), manifest_bytes()))
+    def test_returns_manifest_or_raises_typed_error(self, fuzz_dir, raw):
+        if not (fuzz_dir / "rec.wav").exists():
+            make_corpus(fuzz_dir)
+        path = fuzz_dir / "m.csv"
+        path.write_bytes(raw)
+        try:
+            manifest = load_manifest(path)
+        except AuscultError:
+            return
+        assert all(e.inline_label is not None or e.annotation_path
+                   for e in manifest.entries)
 
 
 class TestBuildEventDataset:

@@ -24,7 +24,6 @@ from auscult.emr import (
     gbdt_predict_proba,
     impute_median,
     kmeans_fit,
-    label_decode,
     label_encode,
     pearson,
     read_emr_csv,
@@ -129,7 +128,7 @@ class TestLabelEncode:
     def test_decode_round_trip(self):
         values = ["b", "a", "c", "a", "b"]
         codes, classes = label_encode(values)
-        assert label_decode(codes, classes) == values
+        assert [classes[i] for i in codes] == values
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -240,9 +239,11 @@ class TestKmeans:
     def test_restarts_never_hurt(self):
         rng = np.random.default_rng(7)
         points = rng.standard_normal((60, 2))
-        single = kmeans_fit(points, k=4, seed=0, restarts=1)
-        multi = kmeans_fit(points, k=4, seed=0, restarts=8)
-        assert multi.inertia <= single.inertia + 1e-9
+        # the first of kmeans_fit's restarts is this single seeded run
+        init = emr._kmeans_pp_init(points, 4, np.random.default_rng(0))
+        _, _, single = emr._lloyd_run(points, init)
+        multi = kmeans_fit(points, k=4, seed=0)
+        assert multi.inertia <= single + 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -549,6 +550,12 @@ class TestSmote:
         with pytest.raises(InvalidInputError):
             smote_oversample(np.zeros((5, 2)), 10, k_neighbors=5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_neighbor_count_below_one_rejected(self, k):
+        minority = np.random.default_rng(6).standard_normal((8, 2))
+        with pytest.raises(InvalidInputError, match="k_neighbors"):
+            smote_oversample(minority, 10, k_neighbors=k)
+
     def test_non_finite_row_rejected(self):
         minority = np.random.default_rng(5).standard_normal((8, 2))
         minority[3, 0] = np.nan
@@ -683,14 +690,14 @@ class TestGbdt:
 
 # ------------------------------------------------ whole-array kernel exactness
 
-def scalar_scan_fit_tree(x, grad, hess, depth_left, min_samples, gains):
+def scalar_scan_fit_tree(x, grad, hess, depth_left, gains):
     """The split search as a per-cut scalar scan: the reference the
     prefix-sum search in emr._fit_tree must match bit for bit."""
     g_total = grad.sum()
     h_total = hess.sum()
     leaf = {"leaf": -g_total / (h_total + emr.EPS_HESSIAN)}
     n = x.shape[0]
-    if depth_left == 0 or n < min_samples:
+    if depth_left == 0 or n < emr.GBDT_MIN_SAMPLES:
         return leaf
     parent_score = g_total**2 / (h_total + emr.EPS_HESSIAN)
     best_gain = 0.0
@@ -723,9 +730,9 @@ def scalar_scan_fit_tree(x, grad, hess, depth_left, min_samples, gains):
         "threshold": threshold,
         "gain": best_gain,
         "left": scalar_scan_fit_tree(x[mask], grad[mask], hess[mask],
-                                     depth_left - 1, min_samples, gains),
+                                     depth_left - 1, gains),
         "right": scalar_scan_fit_tree(x[~mask], grad[~mask], hess[~mask],
-                                      depth_left - 1, min_samples, gains),
+                                      depth_left - 1, gains),
     }
 
 
@@ -785,8 +792,8 @@ class TestKernelExactness:
             x = rng.integers(0, 6, size=(12, 2)).astype(np.float64)
             grad, hess = rng.standard_normal(12), rng.uniform(0.0, 0.25, 12)
             fast_gains, ref_gains = np.zeros(2), np.zeros(2)
-            fast = emr._fit_tree(x, grad, hess, 3, 2, fast_gains)
-            assert fast == scalar_scan_fit_tree(x, grad, hess, 3, 2, ref_gains)
+            fast = emr._fit_tree(x, grad, hess, 3, fast_gains)
+            assert fast == scalar_scan_fit_tree(x, grad, hess, 3, ref_gains)
             assert np.array_equal(fast_gains, ref_gains)
 
     def test_equal_gains_go_to_earliest_feature_then_cut(self):

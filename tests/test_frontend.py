@@ -11,13 +11,10 @@ from auscult.frontend import (
     frame_signal,
     hamming_window,
     hz_to_mel,
-    inverse_mfcc,
     log_mel_spectrogram,
     mel_to_hz,
     mfcc,
     preemphasize,
-    read_spectrogram_csv,
-    read_spectrogram_f32,
     spectrum,
     write_spectrogram_csv,
     write_spectrogram_f32,
@@ -269,22 +266,6 @@ class TestLogMelSpectrogram:
         spec = log_mel_spectrogram(AudioSignal(np.zeros(16000), 16000), FrontendConfig())
         np.testing.assert_array_equal(spec.frames, np.zeros_like(spec.frames))
 
-    def test_global_normalization_clips(self):
-        rng = np.random.default_rng(8)
-        sig = AudioSignal(rng.uniform(-0.5, 0.5, 16000), 16000)
-        spec = log_mel_spectrogram(sig, FrontendConfig(), normalization=(-5.0, 1.0))
-        assert spec.frames.min() >= -1.0
-        assert spec.frames.max() <= 1.0
-
-    def test_global_normalization_formula(self):
-        rng = np.random.default_rng(9)
-        sig = AudioSignal(rng.uniform(-0.5, 0.5, 16000), 16000)
-        wide = log_mel_spectrogram(sig, FrontendConfig(), normalization=(0.0, 1e9))
-        shifted = log_mel_spectrogram(sig, FrontendConfig(), normalization=(1.0, 1e9))
-        np.testing.assert_allclose(
-            wide.frames - shifted.frames, 1e-9, atol=1e-15
-        )
-
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(-0.5, 0.5, 16000)
@@ -389,9 +370,12 @@ class TestMfcc:
         np.testing.assert_allclose(lead, full[:, :13], atol=1e-12)
 
     def test_orthonormal_round_trip(self):
+        # the full-length transform is orthonormal, so it keeps every frame's
+        # L2 norm and its transpose inverts it
         spec = self._spec(13)
         coeffs = mfcc(spec, 80)
-        np.testing.assert_allclose(inverse_mfcc(coeffs, 80), spec.frames, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(coeffs, axis=1),
+                                   np.linalg.norm(spec.frames, axis=1), rtol=1e-12)
 
     def test_rejects_too_many_coefficients(self):
         with pytest.raises(InvalidInputError):
@@ -408,8 +392,8 @@ class TestSpectrogramIo:
         spec = self._spec()
         path = tmp_path / "spec.csv"
         write_spectrogram_csv(spec, path)
-        back = read_spectrogram_csv(path)
-        np.testing.assert_allclose(back.frames, spec.frames, atol=1e-12)
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
+        np.testing.assert_allclose(back, spec.frames, atol=1e-12)
         # 80 comma-separated columns per line, no header row
         first = path.read_text().splitlines()[0]
         assert len(first.split(",")) == 80
@@ -418,9 +402,8 @@ class TestSpectrogramIo:
         spec = self._spec()
         path = tmp_path / "spec.f32"
         write_spectrogram_f32(spec, path)
-        back = read_spectrogram_f32(path)
-        assert back.frames.shape == (40, 80)
-        np.testing.assert_allclose(back.frames, spec.frames, atol=1e-6)
+        back = np.fromfile(path, dtype="<f4", offset=8).reshape(40, 80)
+        np.testing.assert_allclose(back, spec.frames, atol=1e-6)
 
     def test_f32_header_is_two_u32(self, tmp_path):
         spec = self._spec()
@@ -430,12 +413,6 @@ class TestSpectrogramIo:
         assert len(raw) == 8 + 40 * 80 * 4
         assert int.from_bytes(raw[0:4], "little") == 40
         assert int.from_bytes(raw[4:8], "little") == 80
-
-    def test_f32_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "bad.f32"
-        path.write_bytes((10).to_bytes(4, "little") + (80).to_bytes(4, "little") + b"\x00" * 16)
-        with pytest.raises(InvalidInputError):
-            read_spectrogram_f32(path)
 
 
 class TestValidation:

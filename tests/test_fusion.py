@@ -10,7 +10,6 @@ from auscult.fusion import (
     ConfusionCounts,
     ProbabilityVector,
     TaskMetrics,
-    aggregate_patient_probs,
     alpha_sweep,
     compute_metrics,
     confusion_counts,
@@ -301,23 +300,3 @@ class TestAlphaSweep:
             fuse_probabilities(p_rene[2], p_gbdt[2], 1.0)
         with pytest.raises(error):
             alpha_sweep(p_rene, p_gbdt, truths, 0)
-
-
-class TestAggregate:
-    def test_mean(self):
-        vectors = [pv(1.0, 0.0), pv(0.0, 1.0)]
-        agg = aggregate_patient_probs(vectors, "mean")
-        np.testing.assert_allclose(agg.probs, [0.5, 0.5])
-
-    def test_max_renormalizes(self):
-        vectors = [pv(0.8, 0.2), pv(0.3, 0.7)]
-        agg = aggregate_patient_probs(vectors, "max")
-        np.testing.assert_allclose(agg.probs, [0.8 / 1.5, 0.7 / 1.5])
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidInputError):
-            aggregate_patient_probs([pv(1.0, 0.0)], "median")
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            aggregate_patient_probs([], "mean")

@@ -73,27 +73,26 @@ class TestRingBuffer:
         with pytest.raises(StaleWindowError):
             ring.read_at(16, 16)
         np.testing.assert_array_equal(ring.read_at(32, 16), units[2])
-        last, start = ring.read_window(16 / SR)
+        last = ring.read_at(ring.write_cursor - 16, 16)
         np.testing.assert_array_equal(last, units[-1])
-        assert start == ring.write_cursor - 16
 
-    def test_read_window_unwraps_across_boundary(self):
+    def test_read_at_unwraps_across_boundary(self):
         # push "61 minutes" of counter samples into a "60 minute" buffer
         ring = RingBuffer(SR, buffer_min=0.1)
         n_units = int(ring.capacity // ring.unit_samples * 61 / 60)
         for unit in counter_units(n_units):
             ring.push(unit)
-        window, start = ring.read_window(1.0)
         total = n_units * 16
+        assert (total - SR) % ring.capacity > ring.capacity - SR  # wraps
+        window = ring.read_at(total - SR, SR)
         np.testing.assert_array_equal(
             window, np.arange(total - SR, total, dtype=np.float64)
         )
-        assert start == total - SR
 
     def test_read_before_ready(self):
         ring = RingBuffer(SR, buffer_min=0.1)
         with pytest.raises(NotReadyError):
-            ring.read_window(1.0)
+            ring.read_at(0, SR)
         ring.push(np.zeros(16, dtype=np.float32))
         with pytest.raises(NotReadyError):
             ring.read_at(0, 32)
@@ -103,14 +102,12 @@ class TestRingBuffer:
         units = counter_units(100)
         for unit in units:
             ring.push(unit)
-        window, start = ring.read_window(1.0)
-        np.testing.assert_array_equal(window, units.ravel())
-        assert start == 0
+        np.testing.assert_array_equal(ring.read_at(0, SR), units.ravel())
 
     def test_oversized_read_rejected(self):
         ring = RingBuffer(SR, buffer_min=0.1)
         with pytest.raises(InvalidInputError):
-            ring.read_window(ring.capacity / SR)
+            ring.read_at(0, ring.capacity)
 
     def test_allocation_is_exactly_capacity(self):
         ring = RingBuffer(SR, buffer_min=0.1)
@@ -140,10 +137,16 @@ class TestRingBuffer:
         try:
             producer.start()
             while not done.is_set() or reads == 0:
-                try:
-                    window, _ = ring.read_window(1.0)
-                except NotReadyError:
+                # the oldest second still readable: the next push overwrites
+                # its first unit, so a push during the copy tears it
+                start = ring.write_cursor - ring.capacity + ring.unit_samples
+                if start < 0:
                     continue
+                try:
+                    window = ring.read_at(start, SR)
+                except StaleWindowError:
+                    continue
+                assert window[0] == start, "read the wrong span"
                 assert np.all(np.diff(window) == 1.0), "torn read"
                 reads += 1
             producer.join()
@@ -237,7 +240,7 @@ class TestRunSession:
     def test_overrun_skips_to_freshest(self, monkeypatch):
         labels = ("a", "b")
 
-        def slow_decode(samples, sr, params, model_cfg, frontend_cfg, lab):
+        def slow_decode(samples, sr, params, model_cfg, lab):
             time.sleep(0.05)
             return ProbabilityVector(np.array([0.5, 0.5]), lab)
 
@@ -267,7 +270,7 @@ class TestRunSession:
             pushes.append(1)
             return real_push(self, unit)
 
-        def fake_decode(samples, sr, params, model_cfg, frontend_cfg, lab):
+        def fake_decode(samples, sr, params, model_cfg, lab):
             return ProbabilityVector(np.array([0.5, 0.5]), lab)
 
         monkeypatch.setattr(RingBuffer, "push", failing_push)
@@ -305,7 +308,7 @@ class TestRunSession:
             pushes.append(1)
             return real_push(self, unit)
 
-        def fake_decode(samples, sr, params, model_cfg, frontend_cfg, lab):
+        def fake_decode(samples, sr, params, model_cfg, lab):
             return ProbabilityVector(np.array([0.5, 0.5]), lab)
 
         monkeypatch.setattr(RingBuffer, "push", blocking_push)

@@ -7,6 +7,8 @@ from auscult import nn
 from auscult.errors import InvalidInputError, TrainingDivergedError
 from auscult.model import preset_config
 from auscult.training import (
+    LR_DECAY_EVERY,
+    LR_DECAY_FACTOR,
     LabeledDataset,
     TrainConfig,
     cross_entropy,
@@ -149,15 +151,13 @@ class TestTrainConfig:
         assert cfg.batch_size == 16
         assert cfg.epochs == 60
         assert cfg.lr0 == pytest.approx(1e-6)
-        assert cfg.decay_factor == pytest.approx(0.1)
-        assert cfg.decay_every == 2000
+        assert LR_DECAY_FACTOR == pytest.approx(0.1)
+        assert LR_DECAY_EVERY == 2000
         assert cfg.gamma == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             TrainConfig(gamma=6.0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(decay_factor=1.0)
         with pytest.raises(InvalidInputError):
             TrainConfig(batch_size=0)
         with pytest.raises(InvalidInputError):
@@ -216,7 +216,8 @@ class TestTrainToy:
         cfg = preset_config("toy", n_classes=2)
         tc = TrainConfig(lr0=0.1, epochs=2, batch_size=4, seed=6)
         path = tmp_path / "trace.csv"
-        _, trace = train_toy(ds, cfg, tc, trace_path=path)
+        _, trace = train_toy(ds, cfg, tc)
+        write_loss_trace(path, trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "mean_loss", "lr"]
