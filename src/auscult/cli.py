@@ -75,7 +75,7 @@ def _k_range(text: str) -> range:
 def _load_model(params_path, config_path):
     cfg = load_model_config(config_path)
     params = load_params(params_path)
-    check_params(params, cfg, FrontendConfig().n_mels)
+    check_params(params, cfg, FrontendConfig.n_mels)
     return params, cfg
 
 
@@ -98,9 +98,8 @@ def cmd_featurize(args):
 
 
 def cmd_train(args):
-    frontend_cfg = FrontendConfig()
     if args.manifest:
-        dataset = build_event_dataset(load_manifest(args.manifest), frontend_cfg,
+        dataset = build_event_dataset(load_manifest(args.manifest),
                                       label_scheme=args.scheme)
         n_classes = len(dataset.class_counts)
     else:
@@ -128,9 +127,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    frontend_cfg = FrontendConfig()
     params, model_cfg = _load_model(args.params, args.config)
-    dataset = build_event_dataset(load_manifest(args.manifest), frontend_cfg,
+    dataset = build_event_dataset(load_manifest(args.manifest),
                                   label_scheme=args.scheme)
     predictions = []
     for frames, _ in dataset.items:

@@ -16,21 +16,21 @@ from .frontend import AudioSignal, FrontendConfig, log_mel_spectrogram
 from .training import LabeledDataset
 
 TARGET_SAMPLE_RATE = 16000
+# no stethoscope records this slowly (ICBHI's lowest rate is 4 kHz); a lower
+# rate is a corrupt header, and 0 Hz cannot be resampled at all
+MIN_SAMPLE_RATE = 1000
 
 
 def synthetic_tone_noise_dataset(n_clips: int = 60, duration_s: float = 2.0,
-                                 seed: int = 0, sample_rate: int = 16000,
-                                 frontend_cfg: FrontendConfig | None = None,
-                                 ) -> LabeledDataset:
+                                 seed: int = 0) -> LabeledDataset:
     """Separable 2-class demo set: narrowband tones (label 0) vs broadband
     noise (label 1). Used by the train command's self-contained demo and by
     the learnability checks."""
     if n_clips < 2 or duration_s <= 0:
         raise InvalidInputError("need n_clips >= 2 and a positive duration")
     rng = np.random.default_rng(seed)
-    cfg = frontend_cfg if frontend_cfg is not None else FrontendConfig()
-    n = int(duration_s * sample_rate)
-    t = np.arange(n) / sample_rate
+    n = int(duration_s * TARGET_SAMPLE_RATE)
+    t = np.arange(n) / TARGET_SAMPLE_RATE
     pairs = []
     for i in range(n_clips):
         if i % 2 == 0:
@@ -41,7 +41,7 @@ def synthetic_tone_noise_dataset(n_clips: int = 60, duration_s: float = 2.0,
             x = rng.uniform(-0.5, 0.5, n)
             label = 1
         spec = log_mel_spectrogram(
-            AudioSignal(np.clip(x, -1, 1), sample_rate), cfg
+            AudioSignal(np.clip(x, -1, 1), TARGET_SAMPLE_RATE), FrontendConfig()
         )
         pairs.append((spec.frames, label))
     return LabeledDataset.from_pairs(pairs, n_classes=2)
@@ -61,9 +61,9 @@ class AnnotationRecord:
     wheezes: bool
 
     def __post_init__(self):
-        if not 0.0 <= self.begin_s < self.end_s:
+        if not 0.0 <= self.begin_s < self.end_s < np.inf:
             raise InvalidInputError(
-                f"need 0 <= begin < end, got [{self.begin_s}, {self.end_s}]"
+                f"need 0 <= begin < end < inf, got [{self.begin_s}, {self.end_s}]"
             )
 
 
@@ -124,6 +124,9 @@ def load_wav(path) -> AudioSignal:
                 raise FormatError(
                     f"unsupported channel count {n_channels}", offset=body_start + 2
                 )
+            if sample_rate < MIN_SAMPLE_RATE:
+                raise FormatError(f"sample rate {sample_rate} Hz is below "
+                                  f"{MIN_SAMPLE_RATE} Hz", offset=body_start + 4)
         elif chunk_id == b"data":
             payload = _need(data, body_start, size, "data chunk")
         # chunk bodies are padded to even length
@@ -142,7 +145,7 @@ def load_wav(path) -> AudioSignal:
             samples = samples[:-1]
         samples = samples.reshape(-1, 2).mean(axis=1)
 
-    if sample_rate != TARGET_SAMPLE_RATE:
+    if sample_rate != TARGET_SAMPLE_RATE and samples.size:
         samples = _resample_linear(samples, sample_rate, TARGET_SAMPLE_RATE)
     if samples.size == 0:
         raise FormatError("empty data chunk", offset=len(data))
@@ -256,7 +259,7 @@ def load_manifest(path) -> Manifest:
 
 # ------------------------------------------------------------- event dataset
 
-def build_event_dataset(manifest: Manifest, frontend_cfg: FrontendConfig,
+def build_event_dataset(manifest: Manifest,
                         label_scheme: str = "cw4") -> LabeledDataset:
     """Slice each recording into per-cycle clips and attach class labels."""
     if label_scheme not in LABEL_SCHEMES:
@@ -274,7 +277,7 @@ def build_event_dataset(manifest: Manifest, frontend_cfg: FrontendConfig,
                     f"inline label {label} outside scheme {label_scheme!r} "
                     f"for {entry.wav_path}"
                 )
-            features = log_mel_spectrogram(signal, frontend_cfg)
+            features = log_mel_spectrogram(signal, FrontendConfig())
             pairs.append((features.frames, label))
             continue
         for record in parse_cycle_annotations(entry.annotation_path):
@@ -286,7 +289,7 @@ def build_event_dataset(manifest: Manifest, frontend_cfg: FrontendConfig,
                     f"audio length of {entry.wav_path}"
                 )
             clip = AudioSignal(samples=signal.samples[begin:end], sample_rate=sr)
-            features = log_mel_spectrogram(clip, frontend_cfg)
+            features = log_mel_spectrogram(clip, FrontendConfig())
             label = mapping[(int(record.crackles), int(record.wheezes))]
             pairs.append((features.frames, label))
     return LabeledDataset.from_pairs(pairs, n_classes=n_classes)

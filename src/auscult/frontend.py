@@ -51,33 +51,22 @@ class AudioSignal:
         return len(self) / self.sample_rate
 
 
-@dataclass(frozen=True)
 class FrontendConfig:
-    """Feature-extraction parameters for the mel front end."""
+    """The front end's settings: one value each, so class constants."""
 
-    preemphasis_alpha: float = 0.97
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    n_mels: int = 80
-    f_min_hz: float = 50.0
-    f_max_hz: float = 2500.0
-    n_fft: int = 512
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.preemphasis_alpha < 1.0:
-            raise InvalidInputError("preemphasis_alpha must be in [0, 1)")
-        if not 0.0 < self.f_min_hz < self.f_max_hz:
-            raise InvalidInputError("need 0 < f_min_hz < f_max_hz")
-        if self.hop_ms > self.win_ms:
-            raise InvalidInputError("hop_ms must not exceed win_ms")
-        if self.n_mels < 1:
-            raise InvalidInputError("n_mels must be positive")
+    preemphasis_alpha = 0.97
+    win_ms = 25.0
+    hop_ms = 10.0
+    n_mels = 80
+    f_min_hz = 50.0
+    f_max_hz = 2500.0
+    n_fft = 512
 
-    def win_samples(self, sample_rate: int) -> int:
-        return int(round(self.win_ms * sample_rate / 1000.0))
 
-    def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
+def _ms_to_samples(ms: float, sample_rate: int) -> int:
+    return int(round(ms * sample_rate / 1000.0))
 
 
 @dataclass(frozen=True)
@@ -104,16 +93,15 @@ class MelFilterbank:
     center_freqs_hz: np.ndarray  # (n_mels,)
 
 
-def preemphasize(signal: AudioSignal, alpha: float) -> AudioSignal:
-    """First-order high-pass: y[n] = x[n] - alpha * x[n-1], with y[0] = x[0]."""
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidInputError("alpha must be in [0, 1)")
+def preemphasize(signal: AudioSignal) -> AudioSignal:
+    """First-order high-pass: y[n] = x[n] - alpha * x[n-1], with y[0] = x[0]
+    and alpha = FrontendConfig.preemphasis_alpha."""
     x = signal.samples
     if x.size == 0:
         raise InvalidInputError("cannot preemphasize an empty signal")
     y = np.empty_like(x)
     y[0] = x[0]
-    y[1:] = x[1:] - alpha * x[:-1]
+    y[1:] = x[1:] - FrontendConfig.preemphasis_alpha * x[:-1]
     return AudioSignal(y, signal.sample_rate)
 
 
@@ -125,15 +113,16 @@ def hamming_window(n_points: int) -> np.ndarray:
     return HAMMING_A - HAMMING_B * np.cos(2.0 * np.pi * n / (n_points - 1))
 
 
-def frame_signal(signal: AudioSignal, win_ms: float, hop_ms: float) -> np.ndarray:
-    """Slice a signal into overlapping frames, no padding.
+def frame_signal(signal: AudioSignal) -> np.ndarray:
+    """Slice a signal into overlapping FrontendConfig.win_ms frames every
+    FrontendConfig.hop_ms, no padding.
 
     Returns a read-only (T, win) strided view of the samples, where
     T = floor((L - win) / hop) + 1 and frame i starts at sample i * hop.
     """
     sr = signal.sample_rate
-    win = int(round(win_ms * sr / 1000.0))
-    hop = int(round(hop_ms * sr / 1000.0))
+    win = _ms_to_samples(FrontendConfig.win_ms, sr)
+    hop = _ms_to_samples(FrontendConfig.hop_ms, sr)
     x = signal.samples
     if len(x) < win:
         raise TooShortError(
@@ -180,26 +169,27 @@ def mel_to_hz(mel) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def build_mel_filterbank(config: FrontendConfig, sample_rate: int) -> MelFilterbank:
+def build_mel_filterbank(sample_rate: int) -> MelFilterbank:
     """Triangular filters with centers equally spaced on the mel scale.
 
     Adjacent triangles share band edges, so they cross at half height. All
     support lies within [f_min_hz, f_max_hz].
     """
-    if config.f_max_hz > sample_rate / 2:
+    cfg = FrontendConfig
+    if cfg.f_max_hz > sample_rate / 2:
         raise InvalidInputError(
-            f"f_max_hz={config.f_max_hz} exceeds Nyquist {sample_rate / 2}"
+            f"f_max_hz={cfg.f_max_hz} exceeds Nyquist {sample_rate / 2}"
         )
-    n_bins = config.n_fft // 2 + 1
-    bin_freqs = np.arange(n_bins) * sample_rate / config.n_fft
+    n_bins = cfg.n_fft // 2 + 1
+    bin_freqs = np.arange(n_bins) * sample_rate / cfg.n_fft
 
     mel_pts = np.linspace(
-        hz_to_mel(config.f_min_hz), hz_to_mel(config.f_max_hz), config.n_mels + 2
+        hz_to_mel(cfg.f_min_hz), hz_to_mel(cfg.f_max_hz), cfg.n_mels + 2
     )
     hz_pts = mel_to_hz(mel_pts)
 
-    weights = np.zeros((config.n_mels, n_bins))
-    for m in range(config.n_mels):
+    weights = np.zeros((cfg.n_mels, n_bins))
+    for m in range(cfg.n_mels):
         lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
@@ -208,11 +198,11 @@ def build_mel_filterbank(config: FrontendConfig, sample_rate: int) -> MelFilterb
 
 
 @functools.lru_cache(maxsize=16)
-def _mel_projection(config: FrontendConfig, sample_rate: int):
-    """(window, weights.T) for one front-end setting, built on first use and
-    shared read-only by every later call with the same setting."""
-    window = hamming_window(config.win_samples(sample_rate))
-    fb = build_mel_filterbank(config, sample_rate)
+def _mel_projection(sample_rate: int):
+    """(window, weights.T) for one sample rate, built on first use and
+    shared read-only by every later call at that rate."""
+    window = hamming_window(_ms_to_samples(FrontendConfig.win_ms, sample_rate))
+    fb = build_mel_filterbank(sample_rate)
     weights_t = np.ascontiguousarray(fb.weights.T)
     window.flags.writeable = False
     weights_t.flags.writeable = False
@@ -221,20 +211,20 @@ def _mel_projection(config: FrontendConfig, sample_rate: int):
 
 def log_mel_spectrogram(signal: AudioSignal,
                         config: FrontendConfig) -> LogMelSpectrogram:
-    """Full front-end pipeline producing a normalized (T, n_mels) matrix.
+    """Full front-end pipeline producing a normalized (T, n_mels) matrix with
+    the FrontendConfig constants, which `config` names.
 
     The clip is min-max scaled to [-1, 1] on its own; a degenerate constant
     spectrogram (e.g. digital silence) normalizes to all zeros.
     """
     sr = signal.sample_rate
-    _check_fft_size(config.win_samples(sr), config.n_fft)
+    _check_fft_size(_ms_to_samples(FrontendConfig.win_ms, sr), FrontendConfig.n_fft)
 
-    emphasized = preemphasize(signal, config.preemphasis_alpha)
-    frames = frame_signal(emphasized, config.win_ms, config.hop_ms)
-    window, weights_t = _mel_projection(config, sr)
+    frames = frame_signal(preemphasize(signal))
+    window, weights_t = _mel_projection(sr)
 
     # the real FFT gives the n_fft // 2 + 1 bins the filterbank spans
-    bins = np.fft.rfft(frames * window, n=config.n_fft, axis=-1)
+    bins = np.fft.rfft(frames * window, n=FrontendConfig.n_fft, axis=-1)
     power = bins.real * bins.real
     power += bins.imag * bins.imag
     log_mel = power @ weights_t
@@ -247,7 +237,7 @@ def log_mel_spectrogram(signal: AudioSignal,
     else:
         scaled = 2.0 * (log_mel - lo) / (hi - lo) - 1.0
 
-    hop = config.hop_samples(sr)
+    hop = _ms_to_samples(FrontendConfig.hop_ms, sr)
     times = np.arange(frames.shape[0]) * hop / sr
     return LogMelSpectrogram(frames=scaled, frame_times=times)
 

@@ -190,7 +190,8 @@ class _ShapesOnly:
         return np.broadcast_to(0.0, size)
 
 
-def init_rene(cfg: ReneConfig, seed: int, n_mels: int = 80) -> dict:
+def init_rene(cfg: ReneConfig, seed: int,
+              n_mels: int = FrontendConfig.n_mels) -> dict:
     return _build_rene(cfg, np.random.default_rng(seed), n_mels)
 
 
@@ -198,7 +199,8 @@ def count_parameters(params: dict) -> int:
     return sum(arr.size for arr in nn.flatten_params(params).values())
 
 
-def estimate_parameter_count(cfg: ReneConfig, n_mels: int = 80) -> int:
+def estimate_parameter_count(cfg: ReneConfig,
+                             n_mels: int = FrontendConfig.n_mels) -> int:
     """Size of the shapes-only tree; allocates no weights, so it also covers
     presets too large to instantiate."""
     return count_parameters(_build_rene(cfg, _ShapesOnly, n_mels))
@@ -208,7 +210,8 @@ def _shapes(tree: dict) -> dict:
     return {name: arr.shape for name, arr in nn.flatten_params(tree).items()}
 
 
-def check_params(params: dict, cfg: ReneConfig, n_mels: int = 80) -> None:
+def check_params(params: dict, cfg: ReneConfig,
+                 n_mels: int = FrontendConfig.n_mels) -> None:
     """Raise FormatError naming the first leaf, in name order, that `params`
     lacks, that `cfg` lacks, or whose shape differs from the config's."""
     want, have = _shapes(_build_rene(cfg, _ShapesOnly, n_mels)), _shapes(params)
@@ -522,7 +525,7 @@ def rene_forward(signal: AudioSignal, params, cfg: ReneConfig) -> ReneOutput:
 
 # ----------------------------------------------------------------- shape audit
 
-def audit_shapes(cfg: ReneConfig, n_frames: int, n_mels: int = 80) -> dict:
+def audit_shapes(cfg: ReneConfig, n_frames: int) -> dict:
     """Analytic per-stage output shapes; nothing is allocated, so this also
     covers presets too large to instantiate."""
 
@@ -533,7 +536,7 @@ def audit_shapes(cfg: ReneConfig, n_frames: int, n_mels: int = 80) -> dict:
     t_conf = ceil_half(ceil_half(t_enc))
     rows, cols = most_square_factorization(2 * cfg.bigru_hidden)
     return {
-        "input": (n_frames, n_mels),
+        "input": (n_frames, FrontendConfig.n_mels),
         "whisper_encoder": (t_enc, cfg.whisper_dim),
         "conformer_encoder": (t_conf, cfg.conformer_dim),
         "decoder_state": (2 * cfg.bigru_hidden,),

@@ -77,26 +77,27 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
-def softmax(x, axis=-1):
-    """Max-subtracted softmax along `axis`."""
+def softmax(x):
+    """Max-subtracted softmax along the last axis."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_backward(dy, y, axis=-1):
-    return (dy - (dy * y).sum(axis=axis, keepdims=True)) * y
+def softmax_backward(dy, y):
+    return (dy - (dy * y).sum(axis=-1, keepdims=True)) * y
 
 
 # ----------------------------------------------------------------- layer norm
 
-def layer_norm_forward(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm_forward(x, gain, bias):
+    """Normalize the last axis to zero mean / unit variance (epsilon 1e-5),
+    then affine."""
     x = np.asarray(x, dtype=np.float64)
     xhat = x - x.mean(axis=-1, keepdims=True)
     y = xhat * xhat
-    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv_std
     np.multiply(xhat, gain, out=y)
     y += bias

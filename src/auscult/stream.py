@@ -18,6 +18,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,13 +37,13 @@ class RingBuffer:
     """Fixed-capacity circular store of float32 samples with an absolute,
     monotonically increasing write cursor."""
 
-    def __init__(self, sample_rate: int, buffer_min: float = 60.0,
-                 frame_unit_ms: float = 10.0):
-        if sample_rate <= 0 or buffer_min <= 0 or frame_unit_ms <= 0:
-            raise InvalidInputError("sample_rate, buffer_min, frame_unit_ms > 0")
+    def __init__(self, sample_rate: int, buffer_min: float = 60.0):
+        if sample_rate <= 0 or not 0.0 < buffer_min < np.inf:
+            raise InvalidInputError("need sample_rate > 0 and a finite buffer_min > 0")
         self.sample_rate = sample_rate
         self.capacity = int(round(buffer_min * 60.0 * sample_rate))
-        self.unit_samples = int(round(sample_rate * frame_unit_ms / 1000.0))
+        self.unit_samples = int(round(sample_rate * SessionConfig.frame_unit_ms
+                                      / 1000.0))
         if self.unit_samples < 1 or self.capacity % self.unit_samples != 0:
             raise InvalidInputError("capacity must be a whole number of units")
         self._data = np.zeros(self.capacity, dtype=np.float32)
@@ -97,13 +98,14 @@ class RingBuffer:
 class SessionConfig:
     source: object  # WAV path or AudioSignal
     window_s: float = 10.0
-    frame_unit_ms: float = 10.0
     buffer_min: float = 60.0
     rate_factor: float = 1.0
+    frame_unit_ms: ClassVar[float] = 10.0
 
     def __post_init__(self):
-        if self.window_s <= 0 or self.frame_unit_ms <= 0 or self.buffer_min <= 0:
-            raise InvalidInputError("durations must be positive")
+        for name in ("window_s", "buffer_min", "rate_factor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
         # one unit of slack: a window the full buffer long could never pass
         # the snapshot stability check once the writer wraps
         if self.window_s + self.frame_unit_ms / 1000.0 > self.buffer_min * 60.0:
@@ -111,8 +113,6 @@ class SessionConfig:
         units = self.window_s * 1000.0 / self.frame_unit_ms
         if abs(units - round(units)) > 1e-9:
             raise InvalidInputError("frame unit must divide the window")
-        if self.rate_factor <= 0:
-            raise InvalidInputError("rate_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
     sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
     if labels is None:
         labels = _default_labels(model_cfg.n_classes)
-    ring = RingBuffer(sr, cfg.buffer_min, cfg.frame_unit_ms)
+    ring = RingBuffer(sr, cfg.buffer_min)
 
     unit_wall_s = (cfg.frame_unit_ms / 1000.0) / cfg.rate_factor
 

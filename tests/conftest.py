@@ -22,9 +22,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def make_tone_noise_dataset(n_clips=60, duration_s=2.0, seed=0, sample_rate=16000):
+def make_tone_noise_dataset(n_clips=60, duration_s=2.0, seed=0):
     return synthetic_tone_noise_dataset(
-        n_clips=n_clips, duration_s=duration_s, seed=seed, sample_rate=sample_rate
+        n_clips=n_clips, duration_s=duration_s, seed=seed
     )
 
 

@@ -426,6 +426,19 @@ class TestStreamCommands:
         assert code == 2
         assert f"record payload truncated (at byte offset {len(raw)})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("replay", "--window-s"), ("replay", "--buffer-min"),
+        ("stream", "--rate-factor")])
+    def test_non_finite_session_value_exits_two(self, tmp_path, model_files,
+                                                 command, flag):
+        params_path, config_path = model_files
+        wav = make_wav(tmp_path / "long.wav", seconds=10.0)
+        code = main([
+            command, "--source", wav, "--model", params_path,
+            "--config", config_path, flag, "nan",
+        ])
+        assert code == 2
+
     def _replay(self, tmp_path, params_path, config_path):
         wav = make_wav(tmp_path / "long.wav", seconds=10.0)
         return main([

@@ -22,7 +22,6 @@ from auscult.errors import (
     InvalidInputError,
     ParseError,
 )
-from auscult.frontend import FrontendConfig
 
 
 def write_wav(path, pcm, sample_rate, channels=1):
@@ -118,6 +117,54 @@ class TestLoadWav:
         with pytest.raises(FormatError, match="bit depth"):
             load_wav(path)
 
+    @pytest.mark.parametrize("rate", [16000, 8000])
+    def test_empty_data_chunk_rejected(self, tmp_path, rate):
+        path = tmp_path / "empty.wav"
+        write_wav(path, [], rate)
+        with pytest.raises(FormatError, match="empty data chunk"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("rate", [0, 1, 999])
+    def test_sample_rate_below_1_khz_rejected(self, tmp_path, rate):
+        path = tmp_path / "slow.wav"
+        fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+        body = b"fmt " + struct.pack("<I", 16) + fmt
+        body += b"data" + struct.pack("<I", 4) + b"\x00" * 4
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        with pytest.raises(FormatError, match="offset 24"):
+            load_wav(path)
+
+
+@st.composite
+def wav_bytes(draw):
+    """A RIFF/WAVE header and up to three chunks, sizes true or arbitrary."""
+    chunks = b""
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([b"fmt ", b"data", b"LIST"]))
+        if kind == b"fmt ":
+            body = struct.pack(
+                "<HHIIHH", draw(st.sampled_from([1, 3])), draw(st.integers(0, 3)),
+                draw(st.one_of(st.integers(0, 20000), st.integers(0, 2**32 - 1))),
+                0, 2, draw(st.sampled_from([8, 16])))
+        else:
+            body = draw(st.binary(max_size=64))
+        size = draw(st.one_of(st.just(len(body)), st.integers(0, 2**32 - 1)))
+        chunks += kind + struct.pack("<I", size) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+class TestLoadWavFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=200), wav_bytes()))
+    def test_returns_signal_or_raises_typed_error(self, fuzz_dir, raw):
+        path = fuzz_dir / "fuzz.wav"
+        path.write_bytes(raw)
+        try:
+            signal = load_wav(path)
+        except AuscultError:
+            return
+        assert signal.sample_rate == 16000 and len(signal) > 0
+
 
 class TestAnnotations:
     def test_worked_line(self, tmp_path):
@@ -169,6 +216,13 @@ class TestAnnotations:
         path = tmp_path / "ann.txt"
         path.write_bytes(b"0.0 1.0 0 0\n\xff\xfe 2.0 0 0\n")
         with pytest.raises(ParseError, match="not UTF-8"):
+            parse_cycle_annotations(path)
+
+    @pytest.mark.parametrize("line", ["0.0 inf 1 0", "nan 1.0 0 0", "0.0 1e999 0 1"])
+    def test_non_finite_time_rejected(self, tmp_path, line):
+        path = tmp_path / "ann.txt"
+        path.write_text(f"0.0 1.0 0 0\n{line}\n")
+        with pytest.raises(ParseError, match="line 2"):
             parse_cycle_annotations(path)
 
     def test_record_invariant(self):
@@ -298,21 +352,21 @@ class TestManifestFuzz:
 class TestBuildEventDataset:
     def test_four_cycles_four_clips(self, tmp_path):
         manifest = load_manifest(make_corpus(tmp_path))
-        dataset = build_event_dataset(manifest, FrontendConfig())
+        dataset = build_event_dataset(manifest)
         assert len(dataset.items) == 4
         assert dataset.labels.tolist() == [0, 1, 2, 3]
         assert list(dataset.class_counts) == [1, 1, 1, 1]
 
     def test_binary_scheme(self, tmp_path):
         manifest = load_manifest(make_corpus(tmp_path))
-        dataset = build_event_dataset(manifest, FrontendConfig(),
+        dataset = build_event_dataset(manifest,
                                       label_scheme="binary")
         assert dataset.labels.tolist() == [0, 1, 1, 1]
         assert list(dataset.class_counts) == [1, 3]
 
     def test_clip_frame_count(self, tmp_path):
         manifest = load_manifest(make_corpus(tmp_path))
-        dataset = build_event_dataset(manifest, FrontendConfig())
+        dataset = build_event_dataset(manifest)
         # 0.9 s cycle at 16 kHz: floor((14400 - 400)/160) + 1 = 88 frames
         frames, _ = dataset.items[0]
         assert frames.shape == (88, 80)
@@ -323,7 +377,7 @@ class TestBuildEventDataset:
         path.write_text(
             "wav_path,annotation_path,patient_id,emr_key\nrec.wav,label:3,p1,\n"
         )
-        dataset = build_event_dataset(load_manifest(path), FrontendConfig())
+        dataset = build_event_dataset(load_manifest(path))
         assert len(dataset.items) == 1
         assert dataset.labels.tolist() == [3]
 
@@ -333,12 +387,12 @@ class TestBuildEventDataset:
         ann.write_text("0.0 9.5 0 0\n")
         manifest = load_manifest(tmp_path / "manifest.csv")
         with pytest.raises(DataError, match="rec.wav"):
-            build_event_dataset(manifest, FrontendConfig())
+            build_event_dataset(manifest)
 
     def test_unknown_scheme(self, tmp_path):
         manifest = load_manifest(make_corpus(tmp_path))
         with pytest.raises(InvalidInputError):
-            build_event_dataset(manifest, FrontendConfig(), label_scheme="x")
+            build_event_dataset(manifest, label_scheme="x")
 
     def test_inline_label_outside_scheme(self, tmp_path):
         make_corpus(tmp_path)
@@ -347,4 +401,4 @@ class TestBuildEventDataset:
             "wav_path,annotation_path,patient_id,emr_key\nrec.wav,label:7,p1,\n"
         )
         with pytest.raises(DataError, match="label 7"):
-            build_event_dataset(load_manifest(path), FrontendConfig())
+            build_event_dataset(load_manifest(path))

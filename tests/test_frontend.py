@@ -77,25 +77,14 @@ class TestPreemphasis:
     def test_matches_recurrence(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(257)
-        y = preemphasize(AudioSignal(x), 0.97).samples
+        y = preemphasize(AudioSignal(x)).samples
         assert y[0] == x[0]
         for n in range(1, len(x)):
             assert y[n] == pytest.approx(x[n] - 0.97 * x[n - 1], abs=1e-15)
 
-    def test_alpha_zero_is_identity(self):
-        x = np.linspace(-1, 1, 50)
-        y = preemphasize(AudioSignal(x), 0.0).samples
-        np.testing.assert_array_equal(y, x)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(InvalidInputError):
-            preemphasize(AudioSignal(np.zeros(10)), 1.0)
-        with pytest.raises(InvalidInputError):
-            preemphasize(AudioSignal(np.zeros(10)), -0.1)
-
     def test_suppresses_dc(self):
         x = np.ones(1000)
-        y = preemphasize(AudioSignal(x), 0.97).samples
+        y = preemphasize(AudioSignal(x)).samples
         assert abs(y[1:]).max() == pytest.approx(0.03)
 
 
@@ -120,22 +109,22 @@ class TestFraming:
         sr = 16000
         for n_samples, expected in [(400, 1), (560, 2), (160000, 998)]:
             sig = AudioSignal(np.zeros(n_samples), sr)
-            frames = frame_signal(sig, 25.0, 10.0)
+            frames = frame_signal(sig)
             assert frames.shape == (expected, 400)
 
     def test_frames_are_hop_shifted_slices(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(1200)
-        frames = frame_signal(AudioSignal(x, 16000), 25.0, 10.0)
+        frames = frame_signal(AudioSignal(x, 16000))
         for i in range(frames.shape[0]):
             np.testing.assert_array_equal(frames[i], x[i * 160 : i * 160 + 400])
 
     def test_short_signal_raises(self):
         with pytest.raises(TooShortError):
-            frame_signal(AudioSignal(np.zeros(399), 16000), 25.0, 10.0)
+            frame_signal(AudioSignal(np.zeros(399), 16000))
 
     def test_frames_are_read_only(self):
-        frames = frame_signal(AudioSignal(np.zeros(1200), 16000), 25.0, 10.0)
+        frames = frame_signal(AudioSignal(np.zeros(1200), 16000))
         assert not frames.flags.writeable
         with pytest.raises(ValueError):
             frames[0, 0] = 1.0
@@ -210,8 +199,7 @@ class TestMelScale:
 
 class TestMelFilterbank:
     def setup_method(self):
-        self.cfg = FrontendConfig()
-        self.fb = build_mel_filterbank(self.cfg, 16000)
+        self.fb = build_mel_filterbank(16000)
 
     def test_shape(self):
         assert self.fb.weights.shape == (80, 257)
@@ -228,8 +216,8 @@ class TestMelFilterbank:
     def test_support_within_band(self):
         bin_freqs = np.arange(257) * 16000 / 512
         active = self.fb.weights.sum(axis=0) > 0
-        assert bin_freqs[active].min() >= self.cfg.f_min_hz
-        assert bin_freqs[active].max() <= self.cfg.f_max_hz
+        assert bin_freqs[active].min() >= FrontendConfig.f_min_hz
+        assert bin_freqs[active].max() <= FrontendConfig.f_max_hz
 
     def test_adjacent_filters_sum_to_one_between_centers(self):
         # Triangles sharing edges are exact partitions of unity on the
@@ -241,8 +229,9 @@ class TestMelFilterbank:
         np.testing.assert_allclose(col_sums[interior], 1.0, atol=1e-9)
 
     def test_rejects_band_beyond_nyquist(self):
+        # the 2500 Hz band edge lies above a 4 kHz recording's Nyquist
         with pytest.raises(InvalidInputError):
-            build_mel_filterbank(FrontendConfig(f_max_hz=9000.0), 16000)
+            build_mel_filterbank(4000)
 
 
 class TestLogMelSpectrogram:
@@ -288,12 +277,13 @@ def complex_fft_log_mel(x, sr, cfg):
     # The front end as it stood with a gathered frame matrix and a complex FFT
     # cut to its first n_fft // 2 + 1 bins.
     y = np.append(x[0], x[1:] - cfg.preemphasis_alpha * x[:-1])
-    win, hop = cfg.win_samples(sr), cfg.hop_samples(sr)
+    win = int(round(cfg.win_ms * sr / 1000.0))
+    hop = int(round(cfg.hop_ms * sr / 1000.0))
     idx = np.arange((len(y) - win) // hop + 1)[:, None] * hop + np.arange(win)
     frames = y[idx] * hamming_window(win)[None, :]
     bins = np.fft.fft(frames, n=cfg.n_fft, axis=-1)[:, : cfg.n_fft // 2 + 1]
     power = bins.real**2 + bins.imag**2
-    log_mel = np.log(power @ build_mel_filterbank(cfg, sr).weights.T + 1e-10)
+    log_mel = np.log(power @ build_mel_filterbank(sr).weights.T + 1e-10)
     lo, hi = log_mel.min(), log_mel.max()
     return 2.0 * (log_mel - lo) / (hi - lo) - 1.0
 
@@ -311,25 +301,19 @@ class TestRealFftPath:
             spec.frames, complex_fft_log_mel(x, 16000, cfg), rtol=0, atol=1e-12
         )
 
-    def test_non_power_of_two_n_fft_rejected(self):
-        sig = AudioSignal(np.zeros(16000), 16000)
-        with pytest.raises(InvalidInputError):
-            log_mel_spectrogram(sig, FrontendConfig(n_fft=500))
-
 
 class TestMelProjectionCache:
     def test_read_only_and_per_sample_rate(self):
-        cfg = FrontendConfig()
-        win16, weights16 = frontend._mel_projection(cfg, 16000)
-        win8, weights8 = frontend._mel_projection(cfg, 8000)
+        win16, weights16 = frontend._mel_projection(16000)
+        win8, weights8 = frontend._mel_projection(8000)
         for arr in (win16, weights16, win8, weights8):
             assert not arr.flags.writeable
         assert (len(win16), len(win8)) == (400, 200)
         np.testing.assert_array_equal(
-            weights16, build_mel_filterbank(cfg, 16000).weights.T
+            weights16, build_mel_filterbank(16000).weights.T
         )
         np.testing.assert_array_equal(
-            weights8, build_mel_filterbank(cfg, 8000).weights.T
+            weights8, build_mel_filterbank(8000).weights.T
         )
         assert not np.array_equal(weights16, weights8)
 
@@ -337,9 +321,9 @@ class TestMelProjectionCache:
         built = []
         real = frontend.build_mel_filterbank
 
-        def counting(config, sample_rate):
+        def counting(sample_rate):
             built.append(sample_rate)
-            return real(config, sample_rate)
+            return real(sample_rate)
 
         monkeypatch.setattr(frontend, "build_mel_filterbank", counting)
         frontend._mel_projection.cache_clear()
@@ -424,15 +408,15 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             AudioSignal(np.zeros((2, 100)))
 
-    def test_config_rejects_inverted_band(self):
-        with pytest.raises(InvalidInputError):
-            FrontendConfig(f_min_hz=3000.0, f_max_hz=2500.0)
-
-    def test_config_rejects_hop_above_win(self):
-        with pytest.raises(InvalidInputError):
-            FrontendConfig(win_ms=10.0, hop_ms=25.0)
+    def test_config_takes_no_settings(self):
+        with pytest.raises(TypeError):
+            FrontendConfig(n_mels=40)
+        with pytest.raises(AttributeError):
+            FrontendConfig().n_mels = 40
+        assert FrontendConfig().n_mels == 80
 
     def test_nfft_smaller_than_window_rejected(self):
-        sig = AudioSignal(np.zeros(16000), 16000)
+        # a 25 ms window at 48 kHz is 1200 samples, more than n_fft = 512
+        sig = AudioSignal(np.zeros(48000), 48000)
         with pytest.raises(InvalidInputError):
-            log_mel_spectrogram(sig, FrontendConfig(n_fft=256))
+            log_mel_spectrogram(sig, FrontendConfig())

@@ -313,15 +313,14 @@ class TestCacheFreeForward:
     def test_same_output_as_cached_forward(self, cfg, n_mels):
         params = model.init_rene(cfg, seed=42, n_mels=n_mels)
         rng = np.random.default_rng(43)
-        fcfg = FrontendConfig(n_mels=n_mels)
         sig = AudioSignal(rng.uniform(-0.5, 0.5, 4000), 16000)
-        frames = log_mel_spectrogram(sig, fcfg).frames
+        frames = log_mel_spectrogram(sig, FrontendConfig()).frames[:, :n_mels]
         cached, tape = model.rene_apply(frames, params, cfg)
         free, none = model.rene_apply(frames, params, cfg, cache=False)
         assert tape is not None and none is None
         for field in ("probs", "logits", "embedding"):
             np.testing.assert_array_equal(getattr(free, field), getattr(cached, field))
-        if fcfg == FrontendConfig():  # the front end rene_forward runs
+        if n_mels == FrontendConfig.n_mels:  # the front end rene_forward runs
             np.testing.assert_array_equal(
                 model.rene_forward(sig, params, cfg).probs, cached.probs)
         x = frames

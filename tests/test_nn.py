@@ -504,7 +504,7 @@ class TestAttention:
         q = split(x @ p["wq"] + p["bq"])
         k = split(x @ p["wk"] + p["bk"])
         v = split(x @ p["wv"] + p["bv"])
-        attn = nn.softmax(q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(4)), axis=-1)
+        attn = nn.softmax(q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(4)))
         ctx = (attn @ v).transpose(1, 0, 2).reshape(9, 8)
         np.testing.assert_allclose(cache[4], attn, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache[5], ctx, rtol=0, atol=1e-12)

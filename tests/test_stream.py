@@ -116,6 +116,27 @@ class TestRingBuffer:
             ring.push(unit)
         assert ring._data.nbytes == ring.capacity * 4
 
+    def test_push_during_copy_raises_stale(self, monkeypatch):
+        ring = RingBuffer(SR, buffer_min=0.05)  # 4800 samples
+        units = counter_units(ring.capacity // 16 + 10)
+        for unit in units[:-1]:
+            ring.push(unit)
+        # the oldest second still readable: the next push overwrites its
+        # first unit
+        start = ring.write_cursor - ring.capacity + ring.unit_samples
+        np.testing.assert_array_equal(ring.read_at(start, SR),
+                                      np.arange(start, start + SR))
+        copy_span = RingBuffer._copy_span
+
+        def copy_then_push(self, start, n):
+            out = copy_span(self, start, n)
+            self.push(units[-1])
+            return out
+
+        monkeypatch.setattr(RingBuffer, "_copy_span", copy_then_push)
+        with pytest.raises(StaleWindowError, match="mid-read"):
+            ring.read_at(start, SR)
+
     def test_concurrent_reads_never_torn(self):
         # small buffer under flat-out producer pressure
         ring = RingBuffer(SR, buffer_min=0.05)  # 4800 samples
@@ -161,12 +182,19 @@ class TestSessionConfig:
             SessionConfig(source=None, window_s=10.0, buffer_min=0.1)
 
     def test_unit_must_divide_window(self):
+        # 1.005 s is 100.5 of the 10 ms units
         with pytest.raises(InvalidInputError):
-            SessionConfig(source=None, window_s=1.0, frame_unit_ms=3.0)
+            SessionConfig(source=None, window_s=1.005)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(InvalidInputError):
             SessionConfig(source=None, rate_factor=0.0)
+
+    @pytest.mark.parametrize("field", ["window_s", "buffer_min", "rate_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            SessionConfig(source=None, **{field: value})
 
     def test_event_span_validated(self):
         probs = ProbabilityVector(np.array([1.0]), ("a",))

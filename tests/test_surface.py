@@ -1,5 +1,5 @@
 """Every module-level function and class in src/auscult has a caller outside
-the tests.
+the tests, and every settable value in it is set by one.
 
 A name counts as used when src/ or perfbench/ refers to it anywhere but in its
 own definition: as a name, an attribute, an import, or a string (perfbench
@@ -73,3 +73,111 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_exceptions_are_still_needed():
     # an exception that gained a caller, or lost its definition, leaves the list
     assert sorted(ACCEPTANCE_ONLY) == [n for n in _unused() if n in ACCEPTANCE_ONLY]
+
+
+# ------------------------------------------------------------- settable values
+#
+# A settable value is a parameter with a default, or a dataclass field with a
+# default. It earns its place when some call in src/ or perfbench/ passes it;
+# one that every caller leaves at its default is a constant. Calls are matched
+# to definitions by name (a method's constructor by its class name), and a
+# call that unpacks *args or **kwargs counts as passing everything.
+
+# "module.function(parameter)" that no program call passes, each with the
+# reason it stays
+DEFAULT_ONLY = {
+    "cli.main(argv)": "the console script calls main(); the CLI tests pass argv",
+    "nn.grad_check(step)": "grad_check has no program caller (ACCEPTANCE_ONLY)",
+    "nn.grad_check(max_entries)": "grad_check has no program caller; the "
+                                  "model gradient test samples entries",
+    "nn.grad_check(rng)": "grad_check has no program caller; the model "
+                          "gradient test seeds the sampled entries",
+    "nn.gru_sequence_forward(h0)": "the GRU oracle tests start from a "
+                                   "non-zero state",
+    "model.init_rene(n_mels)": "the 5-mel test models and pinned digests",
+    "model.estimate_parameter_count(n_mels)": "the 5-mel test models",
+}
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(func, skip_self):
+    """(name, positional index or None) of each parameter with a default."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    out = [(a.arg, i - skip_self)
+           for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _settables():
+    """(module, callee name, label, parameter, positional index or None)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for name, index in _defaulted(stmt, 0):
+                    yield module, stmt.name, stmt.name, name, index
+            elif isinstance(stmt, ast.ClassDef):
+                if _is_dataclass(stmt):
+                    fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)
+                              and "ClassVar" not in ast.unparse(s.annotation)]
+                    for index, field in enumerate(fields):
+                        if field.value is not None:
+                            yield (module, stmt.name, stmt.name,
+                                   field.target.id, index)
+                for meth in stmt.body:
+                    if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        callee = stmt.name if meth.name == "__init__" else meth.name
+                        label = f"{stmt.name}.{meth.name}"
+                        for name, index in _defaulted(meth, 1):
+                            yield module, callee, label, name, index
+
+
+def _calls():
+    """callee name -> list of (positional count, keyword names, unpacks)."""
+    calls = {}
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _referenced_name(node.func)
+            if name is None:
+                continue
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return calls
+
+
+def _default_only():
+    calls = _calls()
+
+    def passed(callee, param, index):
+        return any(unpacks or param in keywords
+                   or (index is not None and index < n_positional)
+                   for n_positional, keywords, unpacks in calls.get(callee, ()))
+
+    return sorted(f"{module}.{label}({param})"
+                  for module, callee, label, param, index in _settables()
+                  if not passed(callee, param, index))
+
+
+def test_every_settable_value_is_passed_outside_the_tests():
+    fixed = [v for v in _default_only() if v not in DEFAULT_ONLY]
+    assert fixed == [], f"no program call sets {fixed}; make them constants"
+
+
+def test_default_only_exceptions_are_still_needed():
+    assert sorted(DEFAULT_ONLY) == [v for v in _default_only() if v in DEFAULT_ONLY]
