@@ -5,6 +5,13 @@ Convention: ``*_forward`` returns ``(y, cache)`` and ``*_backward`` takes
 parameter gradients shaped exactly like the parameters. There is no autodiff
 graph; these primitives are the whole differentiable surface. Parameter sets
 are plain dicts of numpy arrays, treated as immutable once built.
+
+Leaves may be float32 (`load_params` keeps a record's stored width) or
+float64; the arithmetic is float64 either way. Each kernel meets a weight with
+a float64 activation, so NumPy widens it, exactly, inside the operation: the
+forward of a float32 tree equals its float64 widening bit for bit. A backward
+can differ in the last bits, where a transposed weight widens into a copy
+that BLAS sums in another order.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ _TAG_TO_DTYPE = {0: "<f4", 1: "<f8"}
 _DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 _GELU_C = np.sqrt(2.0 / np.pi)
+GRAD_CHECK_STEP = 1e-4
 
 
 # ---------------------------------------------------------------- activations
@@ -333,8 +341,10 @@ def multi_head_self_attention_backward(dy, cache):
 # ------------------------------------------------------------------------ GRU
 
 def _gru_stack(params, prefix):
-    """[prefix z | prefix r | prefix n] side by side along the last axis."""
-    return np.concatenate([params[prefix + g] for g in "zrn"], axis=-1)
+    """[prefix z | prefix r | prefix n] side by side along the last axis, as
+    float64, so the per-step h @ U products never widen a float32 U again."""
+    return np.concatenate([params[prefix + g] for g in "zrn"], axis=-1,
+                          dtype=np.float64)
 
 
 def gru_sequence_forward(xs, params, h0=None):
@@ -475,8 +485,9 @@ def init_layer_norm(d):
 
 # ----------------------------------------------------------- gradient checker
 
-def grad_check(loss_fn, arrays, analytic, step=1e-4, max_entries=None, rng=None):
-    """Max relative error of analytic grads vs central finite differences.
+def grad_check(loss_fn, arrays, analytic, max_entries=None, rng=None):
+    """Max relative error of analytic grads vs central finite differences
+    with step GRAD_CHECK_STEP.
 
     `loss_fn` is a zero-argument callable closing over `arrays`; entries are
     perturbed in place and restored. With `max_entries`, that many entries per
@@ -494,12 +505,12 @@ def grad_check(loss_fn, arrays, analytic, step=1e-4, max_entries=None, rng=None)
             entries = range(n)
         for idx in entries:
             orig = arr.flat[idx]
-            arr.flat[idx] = orig + step
+            arr.flat[idx] = orig + GRAD_CHECK_STEP
             up = loss_fn()
-            arr.flat[idx] = orig - step
+            arr.flat[idx] = orig - GRAD_CHECK_STEP
             down = loss_fn()
             arr.flat[idx] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
             # Floor guards exact-zero gradients (e.g. attention key bias)
             # against central-difference roundoff blowing up the ratio.
             denom = max(1e-6, abs(g.flat[idx]) + abs(numeric))
@@ -555,9 +566,11 @@ def save_params(path, params):
 
 
 def load_params(path):
-    """Read a `save_params` file into a float64 tree. A regular file is read
-    one record at a time, so only the record being converted is held besides
-    the tree; a pipe, whose size is unknown until its end, is read whole."""
+    """Read a `save_params` file into a tree whose leaves keep their records'
+    stored dtype (float32 or float64); the kernels widen a float32 weight
+    where they use it. A regular file is read one record at a time into the
+    leaf it becomes, so nothing besides the tree is held; a pipe, whose size
+    is unknown until its end, is read whole."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
@@ -613,5 +626,5 @@ def _read_params(fh, size):
         pos += nbytes
         if name in flat:
             raise FormatError(f"record {name!r} repeats", offset=start)
-        flat[name] = arr.astype(np.float64, copy=False)
+        flat[name] = arr
     return unflatten_params(flat)

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auscult.cli import main
-from auscult.model import preset_config, save_model_config
+from auscult.model import init_rene, preset_config, save_model_config
 from auscult.nn import flatten_params, load_params, save_params
 from auscult.training import TrainConfig, train_toy
-from test_data import write_wav
+from test_data import make_corpus, manifest_bytes, write_wav
+from test_model import TINY, config_bytes
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,49 @@ class TestClusterFuzz:
             "cluster", "--emr", str(path), "--features", "age,bmi",
             "--k-range", "2:3", "--out-json", str(fuzz_dir / "model.json"),
             "--summary", str(fuzz_dir / "summary.csv"),
+        ])
+        assert code in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def tiny_files(fuzz_dir):
+    """The TINY model that an unedited `config_bytes()` document describes,
+    stored as float32 records, beside the 4 s recording a manifest names."""
+    make_corpus(fuzz_dir)
+    params_path, config_path = fuzz_dir / "tiny.params", fuzz_dir / "tiny.cfg"
+    flat = flatten_params(init_rene(TINY, seed=0))
+    save_params(params_path, {k: v.astype(np.float32) for k, v in flat.items()})
+    save_model_config(config_path, TINY)
+    return str(params_path), str(config_path)
+
+
+class TestModelInputFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=200), config_bytes()))
+    @example(raw=b"whisper_layers=1\nwhisper_dim=8\nwhisper_heads=2\n"
+                 b"conformer_layers=1\nconformer_dim=8\nconformer_heads=2\n"
+                 b"bigru_hidden=8\nn_classes=3\ntrial_channels=2\n"
+                 b"trial_kernels_left=3\ntrial_kernels_right=3\n")  # TINY: decodes
+    def test_replay_config_exits_zero_or_two(self, fuzz_dir, tiny_files, raw):
+        path = fuzz_dir / "fuzz.cfg"
+        path.write_bytes(raw)
+        code = main([
+            "replay", "--source", str(fuzz_dir / "rec.wav"), "--model", tiny_files[0],
+            "--config", str(path), "--window-s", "2",
+        ])
+        assert code in (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=200), manifest_bytes()),
+           scheme=st.sampled_from(["cw4", "binary"]))
+    @example(raw=b"wav_path,annotation_path,patient_id,emr_key\nrec.wav,rec.txt,p1,\n",
+             scheme="cw4")  # four labelled cycles: scores
+    def test_eval_manifest_exits_zero_or_two(self, fuzz_dir, tiny_files, raw, scheme):
+        path = fuzz_dir / "fuzz.csv"
+        path.write_bytes(raw)
+        code = main([
+            "eval", "--manifest", str(path), "--params", tiny_files[0],
+            "--config", tiny_files[1], "--scheme", scheme,
         ])
         assert code in (0, 2)
 

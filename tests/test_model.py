@@ -11,6 +11,8 @@ from auscult import model, nn
 from auscult.errors import (AuscultError, FormatError, InvalidInputError, ParseError,
                             TooShortError)
 from auscult.frontend import AudioSignal, FrontendConfig, log_mel_spectrogram
+from auscult.stream import SessionConfig, replay_offline
+from auscult.training import sgd_step
 
 
 TINY = model.ReneConfig(
@@ -343,6 +345,71 @@ class TestCacheFreeForward:
                 tracemalloc.stop()
 
         assert peak(cache=False) <= 0.5 * peak()
+
+
+def widened(tree):
+    return {k: widened(v) if isinstance(v, dict) else v.astype(np.float64)
+            for k, v in tree.items()}
+
+
+class TestFloat32StoredTree:
+    """A tree loaded from float32 records stays float32 in memory; every
+    forward output must equal, bit for bit, that of the tree widened to
+    float64, and training from it stays float64."""
+
+    @pytest.fixture(scope="class")
+    def trees(self, tmp_path_factory):
+        cfg = model.preset_config("toy")
+        flat = nn.flatten_params(model.init_rene(cfg, seed=46))
+        path = tmp_path_factory.mktemp("f4") / "toy.params"
+        nn.save_params(path, {k: v.astype(np.float32) for k, v in flat.items()})
+        stored = nn.load_params(path)
+        return cfg, stored, widened(stored)
+
+    def test_leaves_keep_the_stored_width(self, trees):
+        _, stored, _ = trees
+        assert {a.dtype for a in nn.flatten_params(stored).values()} == {np.dtype(np.float32)}
+
+    def test_forward_equals_float64_widening(self, trees):
+        cfg, stored, wide = trees
+        rng = np.random.default_rng(47)
+        frames = log_mel_spectrogram(AudioSignal(rng.uniform(-0.5, 0.5, 8000), 16000),
+                                     FrontendConfig()).frames
+        a, _ = model.rene_apply(frames, stored, cfg, cache=False)
+        b, _ = model.rene_apply(frames, wide, cfg, cache=False)
+        for field in ("probs", "logits", "embedding"):
+            assert getattr(a, field).dtype == np.float64
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_replay_events_equal_float64_widening(self, trees):
+        cfg, stored, wide = trees
+        rng = np.random.default_rng(48)
+        session = SessionConfig(source=AudioSignal(rng.uniform(-0.3, 0.3, 16000 * 21),
+                                                   16000))
+        a = replay_offline(session, stored, cfg)
+        b = replay_offline(session, wide, cfg)
+        assert len(a) == len(b) == 2
+        for ea, eb in zip(a, b):
+            assert ea.window_span == eb.window_span
+            assert np.array_equal(ea.probs.probs, eb.probs.probs)
+
+    def test_training_step_is_float64(self, trees):
+        cfg, stored, wide = trees
+        frames = np.random.default_rng(49).uniform(-1, 1, (40, 80))
+        dlogits = np.random.default_rng(50).standard_normal(cfg.n_classes)
+        steps = []
+        for tree in (stored, wide):
+            _, cache = model.rene_apply(frames, tree, cfg)
+            grads = model.rene_grad(dlogits, cache, tree, cfg)
+            steps.append((nn.flatten_params(grads),
+                          nn.flatten_params(sgd_step(tree, grads, 0.1))))
+        (g32, p32), (g64, p64) = steps
+        # not bit for bit: NumPy widens a transposed float32 weight (dy @ w.T)
+        # into a copy of another layout, and BLAS then sums in another order
+        for name in g64:
+            assert g32[name].dtype == p32[name].dtype == np.float64, name
+            np.testing.assert_allclose(g32[name], g64[name], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(p32[name], p64[name], rtol=0, atol=1e-14)
 
 
 class TestEndToEndGradient:

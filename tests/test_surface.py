@@ -87,7 +87,6 @@ def test_exceptions_are_still_needed():
 # reason it stays
 DEFAULT_ONLY = {
     "cli.main(argv)": "the console script calls main(); the CLI tests pass argv",
-    "nn.grad_check(step)": "grad_check has no program caller (ACCEPTANCE_ONLY)",
     "nn.grad_check(max_entries)": "grad_check has no program caller; the "
                                   "model gradient test samples entries",
     "nn.grad_check(rng)": "grad_check has no program caller; the model "
