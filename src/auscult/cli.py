@@ -130,6 +130,10 @@ def cmd_eval(args):
     params, model_cfg = _load_model(args.params, args.config)
     dataset = build_event_dataset(load_manifest(args.manifest),
                                   label_scheme=args.scheme)
+    n_scheme = len(SCHEME_LABELS[args.scheme])
+    if model_cfg.n_classes != n_scheme:
+        raise InvalidInputError(f"model has {model_cfg.n_classes} classes, scheme "
+                                f"{args.scheme!r} has {n_scheme}")
     predictions = []
     for frames, _ in dataset.items:
         out, _ = rene_apply(frames, params, model_cfg, cache=False)
@@ -191,9 +195,7 @@ def cmd_correlate(args):
 def cmd_smote(args):
     names = _features_list(args.features)
     table, matrix = _emr_features(args.emr, names)
-    labels = table.column(args.label)
-    if isinstance(labels, np.ndarray):
-        labels = [f"{v:.10g}" for v in labels]
+    labels = table.label_column(args.label)
     counts = {}
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
@@ -229,10 +231,7 @@ def cmd_smote(args):
 def cmd_gbdt(args):
     names = _features_list(args.features)
     table, matrix = _emr_features(args.train, names)
-    raw_labels = table.column(args.label)
-    if isinstance(raw_labels, np.ndarray):
-        raw_labels = [f"{v:.10g}" for v in raw_labels]
-    codes, classes = emr_mod.label_encode(raw_labels)
+    codes, classes = emr_mod.label_encode(table.label_column(args.label))
     params = emr_mod.GbdtParams(
         n_rounds=args.rounds, max_depth=args.depth, learning_rate=args.lr
     )

@@ -50,6 +50,13 @@ class EmrTable:
             raise InvalidInputError(f"no column {name!r}")
         return self.columns[name]
 
+    def label_column(self, name: str) -> list:
+        """The column as label strings; numeric cells print as %.10g."""
+        values = self.column(name)
+        if isinstance(values, np.ndarray):
+            return [f"{v:.10g}" for v in values]
+        return values
+
     def is_numeric(self, name: str) -> bool:
         return isinstance(self.column(name), np.ndarray)
 
@@ -632,9 +639,7 @@ def export_3d_coordinates(table: EmrTable, axes, color: str, path) -> None:
     if len(axes) != 3:
         raise InvalidInputError("need exactly three axis columns")
     data = table.matrix(axes)
-    labels = table.columns[color]
-    if isinstance(labels, np.ndarray):
-        labels = [f"{v:.10g}" for v in labels]
+    labels = table.label_column(color)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(axes) + [color])

@@ -5,11 +5,17 @@
 `init_rene` draws the tree from it, and `estimate_parameter_count` and
 `check_params` (a loaded file against its config) read its shapes-only form.
 
-`rene_apply` with its default `cache=True` returns the activations the
-hand-derived backward pass (`rene_grad`) reads; with `cache=False`, as every
-inference caller uses it, it keeps none of them. The per-stage functions
-(`encoder_forward` and the rest) are cache-free too. Parameters live in a
-nested dict tree whose shape mirrors the gradients returned by `rene_grad`.
+Each sequential sublayer (feed-forward, attention, conv module, conv stems,
+trial branches) is a list of `nn` kernel steps run by one chain runner:
+`_chain_forward` records a tape and `_chain_backward` walks it in reverse.
+Only the residual joins (the encoder and Conformer blocks, the trial head's
+merge and pool) and the BiGRU are written out by hand.
+
+`rene_apply` with its default `cache=True` returns the tapes the backward
+pass (`rene_grad`) reads; with `cache=False`, as every inference caller uses
+it, it keeps none of them. The per-stage functions (`encoder_forward` and
+the rest) are cache-free too. Parameters live in a nested dict tree whose
+shape mirrors the gradients returned by `rene_grad`.
 """
 
 from __future__ import annotations
@@ -223,93 +229,81 @@ def check_params(params: dict, cfg: ReneConfig,
 
 # ------------------------------------------------------------------ sublayers
 #
-# Every forward below takes `cache`. With cache=False it returns None in place
-# of its activations, so an inference decode holds no layer's activations past
-# the call that made them; only training needs the backward tape.
+# A sequential sublayer is a chain of steps, each (nn kernel name, parameter
+# key or None, extra keyword arguments), and `_chain_forward` and
+# `_chain_backward` are its only forward and backward: the order of a
+# sublayer is written once. Kernels are looked up on `nn` at call time, so a
+# wrapper set on the module attribute sees every call. With cache=False the
+# runner keeps no step's cache, so an inference decode holds no layer's
+# activations past the call that made them; only training needs the tape.
 
-def _ff_forward(x, p, cache=True):
-    h, c_ln = nn.layer_norm_forward(x, p["ln"]["gain"], p["ln"]["bias"])
-    h1, c1 = nn.linear_forward(h, p["lin1"]["w"], p["lin1"]["b"])
-    g, cg = nn.gelu_forward(h1)
-    y, c2 = nn.linear_forward(g, p["lin2"]["w"], p["lin2"]["b"])
-    return y, ((c_ln, c1, cg, c2) if cache else None)
-
-
-def _ff_backward(dy, cache):
-    c_ln, c1, cg, c2 = cache
-    dg, g2 = nn.linear_backward(dy, c2)
-    dh1 = nn.gelu_backward(dg, cg)
-    dh, g1 = nn.linear_backward(dh1, c1)
-    dx, g_ln = nn.layer_norm_backward(dh, c_ln)
-    return dx, {"ln": g_ln, "lin1": g1, "lin2": g2}
-
-
-def _attn_sublayer_forward(x, p, n_heads, cache=True):
-    h, c_ln = nn.layer_norm_forward(x, p["ln"]["gain"], p["ln"]["bias"])
-    y, c_at = nn.multi_head_self_attention_forward(h, p["mhsa"], n_heads)
-    return y, ((c_ln, c_at) if cache else None)
+def _chain_forward(x, steps, p, cache=True):
+    """Run `steps` on `x`; return (y, tape), the tape None when not caching."""
+    tape = [] if cache else None
+    for kernel, key, extra in steps:
+        leaves = {} if key is None else p[key]
+        if kernel == "multi_head_self_attention":  # takes its leaves as one dict
+            leaves = {"params": leaves}
+        x, c = getattr(nn, kernel + "_forward")(x, **leaves, **extra)
+        if cache:
+            tape.append((kernel, key, c))
+    return x, tape
 
 
-def _attn_sublayer_backward(dy, cache):
-    c_ln, c_at = cache
-    dh, g_at = nn.multi_head_self_attention_backward(dy, c_at)
-    dx, g_ln = nn.layer_norm_backward(dh, c_ln)
-    return dx, {"ln": g_ln, "mhsa": g_at}
+def _chain_backward(dy, tape):
+    """Backward through a tape in reverse; (dx, gradients by parameter key)."""
+    grads = {}
+    for kernel, key, c in reversed(tape):
+        out = getattr(nn, kernel + "_backward")(dy, c)
+        if key is None:  # a parameter-free step returns dx alone
+            dy = out
+        else:
+            dy, grads[key] = out
+    return dy, grads
 
 
-def _conv_module_forward(x, p, cache=True):
-    h, c_ln1 = nn.layer_norm_forward(x, p["ln_pre"]["gain"], p["ln_pre"]["bias"])
-    h1, c_pw1 = nn.linear_forward(h, p["pw1"]["w"], p["pw1"]["b"])
-    g, cg = nn.gelu_forward(h1)
-    pad = (p["dw"]["w"].shape[0] - 1) // 2
-    dconv, c_dw = nn.depthwise_conv1d_forward(g, p["dw"]["w"], p["dw"]["b"], pad)
-    norm, c_ln2 = nn.layer_norm_forward(dconv, p["ln_mid"]["gain"], p["ln_mid"]["bias"])
-    y, c_pw2 = nn.linear_forward(norm, p["pw2"]["w"], p["pw2"]["b"])
-    return y, ((c_ln1, c_pw1, cg, c_dw, c_ln2, c_pw2) if cache else None)
+_GELU = ("gelu", None, {})
+_FF = (("layer_norm", "ln", {}), ("linear", "lin1", {}), _GELU,
+       ("linear", "lin2", {}))
+_CONV_MODULE = (("layer_norm", "ln_pre", {}), ("linear", "pw1", {}), _GELU,
+                ("depthwise_conv1d", "dw", {"padding": CONV_MODULE_KERNEL // 2}),
+                ("layer_norm", "ln_mid", {}), ("linear", "pw2", {}))
 
 
-def _conv_module_backward(dy, cache):
-    c_ln1, c_pw1, cg, c_dw, c_ln2, c_pw2 = cache
-    dnorm, g_pw2 = nn.linear_backward(dy, c_pw2)
-    ddconv, g_ln2 = nn.layer_norm_backward(dnorm, c_ln2)
-    dg, g_dw = nn.depthwise_conv1d_backward(ddconv, c_dw)
-    dh1 = nn.gelu_backward(dg, cg)
-    dh, g_pw1 = nn.linear_backward(dh1, c_pw1)
-    dx, g_ln1 = nn.layer_norm_backward(dh, c_ln1)
-    return dx, {"ln_pre": g_ln1, "pw1": g_pw1, "dw": g_dw,
-                "ln_mid": g_ln2, "pw2": g_pw2}
+def _attn_steps(n_heads):
+    return (("layer_norm", "ln", {}),
+            ("multi_head_self_attention", "mhsa", {"n_heads": n_heads}))
 
 
-def _conv_stem_forward(x, p, strides, cache=True):
+def _stem_steps(strides):
     """Two padded GELU convolutions with the given strides."""
-    h1, c1 = nn.conv1d_forward(x, p["conv1"]["w"], p["conv1"]["b"], strides[0], 1)
-    g1, cg1 = nn.gelu_forward(h1)
-    h2, c2 = nn.conv1d_forward(g1, p["conv2"]["w"], p["conv2"]["b"], strides[1], 1)
-    g2, cg2 = nn.gelu_forward(h2)
-    return g2, ((c1, cg1, c2, cg2) if cache else None)
+    return (("conv1d", "conv1", {"stride": strides[0], "padding": 1}), _GELU,
+            ("conv1d", "conv2", {"stride": strides[1], "padding": 1}), _GELU)
 
 
-def _conv_stem_backward(dy, cache):
-    c1, cg1, c2, cg2 = cache
-    dh2 = nn.gelu_backward(dy, cg2)
-    dg1, g_c2 = nn.conv1d_backward(dh2, c2)
-    dh1 = nn.gelu_backward(dg1, cg1)
-    dx, g_c1 = nn.conv1d_backward(dh1, c1)
-    return dx, {"conv1": g_c1, "conv2": g_c2}
+_ENCODER_STEM = _stem_steps((1, 2))
+_SUBSAMPLE = _stem_steps((2, 2)) + (("linear", "proj", {}),)
+
+
+def _branch_steps(prefix, kernels):
+    """One GELU depthwise-separable convolution per kernel of a trial branch."""
+    return tuple(step for i in range(len(kernels)) for step in
+                 (("depthwise_separable_conv2d", f"{prefix}{i}", {}), _GELU))
 
 
 # ----------------------------------------------------------- whisper encoder
 
 def _encoder_apply(frames, params, cfg, cache=True):
     p = params["encoder"]
-    g2, c_stem = _conv_stem_forward(frames, p, (1, 2), cache)
+    g2, c_stem = _chain_forward(frames, _ENCODER_STEM, p, cache)
     h = g2 + nn.sinusoidal_positional_embedding(g2.shape[0], cfg.whisper_dim)
+    attn = _attn_steps(cfg.whisper_heads)
     block_caches = []
     for i in range(cfg.whisper_layers):
         bp = p[f"block{i}"]
-        a, c_a = _attn_sublayer_forward(h, bp["attn"], cfg.whisper_heads, cache)
+        a, c_a = _chain_forward(h, attn, bp["attn"], cache)
         h = h + a
-        f, c_f = _ff_forward(h, bp["ff"], cache)
+        f, c_f = _chain_forward(h, _FF, bp["ff"], cache)
         h = h + f
         if cache:
             block_caches.append((c_a, c_f))
@@ -325,12 +319,12 @@ def _encoder_backward(dy, cache, cfg):
     dh, grads["ln_final"] = nn.layer_norm_backward(dy, c_ln)
     for i in reversed(range(cfg.whisper_layers)):
         c_a, c_f = block_caches[i]
-        df, g_f = _ff_backward(dh, c_f)
+        df, g_f = _chain_backward(dh, c_f)
         dh = dh + df
-        da, g_a = _attn_sublayer_backward(dh, c_a)
+        da, g_a = _chain_backward(dh, c_a)
         dh = dh + da
         grads[f"block{i}"] = {"attn": g_a, "ff": g_f}
-    dx, g_stem = _conv_stem_backward(dh, c_stem)
+    dx, g_stem = _chain_backward(dh, c_stem)
     grads.update(g_stem)
     return dx, grads
 
@@ -347,13 +341,13 @@ def encoder_forward(spec, params, cfg: ReneConfig) -> np.ndarray:
 def _conformer_block_apply(x, p, n_heads, cache=True):
     """One Macaron block: half-step FF, attention, conv module, half-step FF,
     final layer norm."""
-    f1, c_f1 = _ff_forward(x, p["ff1"], cache)
+    f1, c_f1 = _chain_forward(x, _FF, p["ff1"], cache)
     x1 = x + 0.5 * f1
-    a, c_a = _attn_sublayer_forward(x1, p["attn"], n_heads, cache)
+    a, c_a = _chain_forward(x1, _attn_steps(n_heads), p["attn"], cache)
     x2 = x1 + a
-    cm, c_c = _conv_module_forward(x2, p["conv"], cache)
+    cm, c_c = _chain_forward(x2, _CONV_MODULE, p["conv"], cache)
     x3 = x2 + cm
-    f2, c_f2 = _ff_forward(x3, p["ff2"], cache)
+    f2, c_f2 = _chain_forward(x3, _FF, p["ff2"], cache)
     x4 = x3 + 0.5 * f2
     y, c_ln = nn.layer_norm_forward(x4, p["ln_final"]["gain"], p["ln_final"]["bias"])
     return y, ((c_f1, c_a, c_c, c_f2, c_ln) if cache else None)
@@ -362,13 +356,13 @@ def _conformer_block_apply(x, p, n_heads, cache=True):
 def _conformer_block_backward(dy, cache):
     c_f1, c_a, c_c, c_f2, c_ln = cache
     dx4, g_lnf = nn.layer_norm_backward(dy, c_ln)
-    df2, g_f2 = _ff_backward(0.5 * dx4, c_f2)
+    df2, g_f2 = _chain_backward(0.5 * dx4, c_f2)
     dx3 = dx4 + df2
-    dc, g_c = _conv_module_backward(dx3, c_c)
+    dc, g_c = _chain_backward(dx3, c_c)
     dx2 = dx3 + dc
-    da, g_a = _attn_sublayer_backward(dx2, c_a)
+    da, g_a = _chain_backward(dx2, c_a)
     dx1 = dx2 + da
-    df1, g_f1 = _ff_backward(0.5 * dx1, c_f1)
+    df1, g_f1 = _chain_backward(0.5 * dx1, c_f1)
     dx = dx1 + df1
     return dx, {"ff1": g_f1, "attn": g_a, "conv": g_c, "ff2": g_f2, "ln_final": g_lnf}
 
@@ -378,28 +372,25 @@ def _conformer_apply(x, params, cfg, cache=True):
         raise TooShortError(
             f"conformer subsampling needs at least 4 steps, got {x.shape[0]}"
         )
-    sp = params["subsample"]
-    g2, c_stem = _conv_stem_forward(x, sp, (2, 2), cache)
-    h, c_proj = nn.linear_forward(g2, sp["proj"]["w"], sp["proj"]["b"])
+    h, c_sub = _chain_forward(x, _SUBSAMPLE, params["subsample"], cache)
     block_caches = []
     for i in range(cfg.conformer_layers):
         h, c = _conformer_block_apply(h, params["conformer"][f"block{i}"],
                                       cfg.conformer_heads, cache)
         if cache:
             block_caches.append(c)
-    return h, ((c_stem, c_proj, block_caches) if cache else None)
+    return h, ((c_sub, block_caches) if cache else None)
 
 
 def _conformer_backward(dy, cache, cfg):
-    c_stem, c_proj, block_caches = cache
+    c_sub, block_caches = cache
     g_blocks: dict = {}
     dh = dy
     for i in reversed(range(cfg.conformer_layers)):
         dh, g = _conformer_block_backward(dh, block_caches[i])
         g_blocks[f"block{i}"] = g
-    dg2, g_proj = nn.linear_backward(dh, c_proj)
-    dx, g_sub = _conv_stem_backward(dg2, c_stem)
-    return dx, {**g_sub, "proj": g_proj}, g_blocks
+    dx, g_sub = _chain_backward(dh, c_sub)
+    return dx, g_sub, g_blocks
 
 
 def conformer_encoder_forward(x, params, cfg: ReneConfig) -> np.ndarray:
@@ -424,31 +415,6 @@ def _decode_apply(seq, params, cache=True):
 
 # ---------------------------------------------------------------- trial block
 
-def _branch_apply(x, kernels, params, prefix, cache=True):
-    caches = []
-    h = x
-    for i in range(len(kernels)):
-        pp = params[f"{prefix}{i}"]
-        h, c = nn.depthwise_separable_conv2d_forward(
-            h, pp["dw_kernel"], pp["pw_weight"], pp["pw_bias"]
-        )
-        g, cg = nn.gelu_forward(h)
-        if cache:
-            caches.append((c, cg))
-        h = g
-    return h, (caches if cache else None)
-
-
-def _branch_backward(dh, caches, prefix):
-    grads = {}
-    for i in reversed(range(len(caches))):
-        c, cg = caches[i]
-        dh = nn.gelu_backward(dh, cg)
-        dh, g = nn.depthwise_separable_conv2d_backward(dh, c)
-        grads[f"{prefix}{i}"] = g
-    return dh, grads
-
-
 def _trial_apply(fmap, params, cfg, cache=True):
     rows, cols = fmap.shape
     left_k, _, right_k = cfg.trial_kernel_sizes
@@ -459,8 +425,8 @@ def _trial_apply(fmap, params, cfg, cache=True):
         )
     tp = params["trial"]
     x = fmap[:, :, None]
-    left, c_left = _branch_apply(x, left_k, tp, "left", cache)
-    right, c_right = _branch_apply(x, right_k, tp, "right", cache)
+    left, c_left = _chain_forward(x, _branch_steps("left", left_k), tp, cache)
+    right, c_right = _chain_forward(x, _branch_steps("right", right_k), tp, cache)
     center = np.repeat(x, cfg.trial_channels, axis=2)
     merged = left + right + center
     pooled = merged.mean(axis=(0, 1))
@@ -475,8 +441,8 @@ def _trial_backward(dlogits, cache, cfg):
     dmerged = np.broadcast_to(
         dpooled / (rows * cols), (rows, cols, cfg.trial_channels)
     ).copy()
-    dl, g_left = _branch_backward(dmerged, c_left, "left")
-    dr, g_right = _branch_backward(dmerged, c_right, "right")
+    dl, g_left = _chain_backward(dmerged, c_left)
+    dr, g_right = _chain_backward(dmerged, c_right)
     dcenter = dmerged.sum(axis=2, keepdims=True)
     dfmap = (dl + dr + dcenter)[:, :, 0]
     return dfmap, {**g_left, **g_right, "head": g_head}

@@ -183,7 +183,7 @@ def _zero_pad(x, pad, n_axes=1):
     return out
 
 
-def conv1d_forward(x, w, b, stride=1, padding=0):
+def conv1d_forward(x, w, b, stride, padding):
     """Cross-correlation over time. x: (T, Cin), w: (k, Cin, Cout).
 
     Output length is floor((T + 2*padding - k) / stride) + 1.

@@ -143,15 +143,29 @@ def _as_signal(source) -> AudioSignal:
     return load_wav(source)
 
 
-def _default_labels(n_classes: int):
-    return tuple(f"class_{i}" for i in range(n_classes))
-
-
 def _decode_window(samples: np.ndarray, sample_rate: int, params, model_cfg,
                    labels) -> ProbabilityVector:
     signal = AudioSignal(samples=samples, sample_rate=sample_rate)
     output = rene_forward(signal, params, model_cfg)
     return ProbabilityVector(probs=output.probs, label_map=labels)
+
+
+def _event_maker(cfg: SessionConfig, sr: int, window: int, params, model_cfg,
+                 labels):
+    """`make(m, data)`: window m (1-based) of `window` samples decoded and
+    timed into its StreamEvent. Labels default to class_0, class_1, ..."""
+    if labels is None:
+        labels = tuple(f"class_{i}" for i in range(model_cfg.n_classes))
+
+    def make(m: int, data: np.ndarray) -> StreamEvent:
+        t_dec = time.perf_counter()
+        probs = _decode_window(data, sr, params, model_cfg, labels)
+        latency_ms = (time.perf_counter() - t_dec) * 1000.0
+        return StreamEvent(timestamp=m * cfg.window_s,
+                           window_span=((m - 1) * window, m * window),
+                           probs=probs, latency_ms=latency_ms)
+
+    return make
 
 
 def _session_plan(cfg: SessionConfig, signal: AudioSignal):
@@ -176,8 +190,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
     """
     signal = _as_signal(cfg.source)
     sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
-    if labels is None:
-        labels = _default_labels(model_cfg.n_classes)
+    make_event = _event_maker(cfg, sr, window, params, model_cfg, labels)
     ring = RingBuffer(sr, cfg.buffer_min)
 
     unit_wall_s = (cfg.frame_unit_ms / 1000.0) / cfg.rate_factor
@@ -231,15 +244,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
             ))
             m = max(freshest, m)
             continue
-        t_dec = time.perf_counter()
-        probs = _decode_window(data, sr, params, model_cfg, labels)
-        latency_ms = (time.perf_counter() - t_dec) * 1000.0
-        events.append(StreamEvent(
-            timestamp=m * cfg.window_s,
-            window_span=((m - 1) * window, m * window),
-            probs=probs,
-            latency_ms=latency_ms,
-        ))
+        events.append(make_event(m, data))
         m += 1
     producer.join()
     return events, warnings
@@ -249,22 +254,9 @@ def replay_offline(cfg: SessionConfig, params, model_cfg, labels=None):
     """Synchronous oracle: same schedule and inference, no threads."""
     signal = _as_signal(cfg.source)
     sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
-    if labels is None:
-        labels = _default_labels(model_cfg.n_classes)
-
-    events = []
-    for m in range(1, total_windows + 1):
-        data = samples32[(m - 1) * window: m * window].astype(np.float64)
-        t_dec = time.perf_counter()
-        probs = _decode_window(data, sr, params, model_cfg, labels)
-        latency_ms = (time.perf_counter() - t_dec) * 1000.0
-        events.append(StreamEvent(
-            timestamp=m * cfg.window_s,
-            window_span=((m - 1) * window, m * window),
-            probs=probs,
-            latency_ms=latency_ms,
-        ))
-    return events
+    make_event = _event_maker(cfg, sr, window, params, model_cfg, labels)
+    return [make_event(m, samples32[(m - 1) * window: m * window].astype(np.float64))
+            for m in range(1, total_windows + 1)]
 
 
 def write_events_jsonl(events, sample_rate: int, path) -> None:

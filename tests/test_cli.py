@@ -146,6 +146,19 @@ class TestEval:
                      "--config", str(config)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_class_count_must_match_scheme(self, fuzz_dir, tiny_files, model_files,
+                                           capsys):
+        # the 3-class TINY model can never predict cw4's fourth class
+        manifest = str(fuzz_dir / "manifest.csv")
+        assert main(["eval", "--manifest", manifest, "--params", tiny_files[0],
+                     "--config", tiny_files[1], "--scheme", "cw4"]) == 2
+        assert "model has 3 classes, scheme 'cw4' has 4" in capsys.readouterr().err
+        params_path, config_path = model_files
+        assert main(["eval", "--manifest", manifest, "--params", params_path,
+                     "--config", config_path, "--scheme", "binary"]) == 0
+        assert main(["eval", "--manifest", manifest, "--params", params_path,
+                     "--config", config_path, "--scheme", "cw4"]) == 2
+
 
 class TestCluster:
     def test_fixed_k(self, tmp_path, capsys):

@@ -1001,3 +1001,14 @@ class TestExport3d:
         table = EmrTable(columns={"x": np.array([1.0])})
         with pytest.raises(InvalidInputError):
             export_3d_coordinates(table, ["x"], "x", tmp_path / "c.csv")
+
+    def test_numeric_color_column_and_unknown_color(self, tmp_path):
+        table = EmrTable(columns={"x": np.array([1.0, 2.5]), "y": np.array([3.0, 4.0]),
+                                  "z": np.array([5.0, 6.0]),
+                                  "code": np.array([0.1, 1e-12])})
+        path = tmp_path / "coords.csv"
+        export_3d_coordinates(table, ["x", "y", "z"], "code", path)
+        with open(path, newline="") as fh:
+            assert [row[3] for row in csv.reader(fh)] == ["code", "0.1", "1e-12"]
+        with pytest.raises(InvalidInputError, match="no column 'cluster'"):
+            export_3d_coordinates(table, ["x", "y", "z"], "cluster", path)

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +174,7 @@ class TestConformer:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((5, 64))
         y = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
-        ff1_out, _ = model._ff_forward(x, bp["ff1"])
+        ff1_out, _ = model._chain_forward(x, model._FF, bp["ff1"])
         expected, _ = nn.layer_norm_forward(
             x + 0.5 * ff1_out, bp["ln_final"]["gain"], bp["ln_final"]["bias"]
         )
@@ -345,6 +347,60 @@ class TestCacheFreeForward:
                 tracemalloc.stop()
 
         assert peak(cache=False) <= 0.5 * peak()
+
+
+def traced_nn_layers():
+    """The `nn` kernel names the benchmark's tracer wraps (perfbench/layers.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "NN_LAYERS":
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/layers.py lists no NN_LAYERS")
+
+
+class TestKernelCalls:
+    """Every kernel call goes through its `nn` module attribute, the one the
+    tracer wraps, and each forward call has exactly one backward call."""
+
+    def test_calls_per_kernel_follow_the_config(self, monkeypatch):
+        cfg = model.preset_config("toy", n_classes=2)
+        wl, cl = cfg.whisper_layers, cfg.conformer_layers
+        left, _, right = cfg.trial_kernel_sizes
+        branch = len(left) + len(right)
+        expected = {  # stems, encoder blocks, subsample, conformer blocks, trial
+            "linear": 2 * wl + 1 + 6 * cl + 1,
+            "layer_norm": 2 * wl + 1 + 6 * cl,
+            "gelu": 2 + wl + 2 + 3 * cl + branch,
+            "conv1d": 4,
+            "depthwise_conv1d": cl,
+            "depthwise_separable_conv2d": branch,
+            "multi_head_self_attention": wl + cl,
+            "gru_sequence": 2,
+        }
+        assert expected == {"linear": 18, "layer_norm": 17, "gelu": 18, "conv1d": 4,
+                            "depthwise_conv1d": 2, "depthwise_separable_conv2d": 6,
+                            "multi_head_self_attention": 4, "gru_sequence": 2}
+        names = traced_nn_layers()
+        assert sorted(names) == sorted(f"{k}_{way}" for k in expected
+                                       for way in ("forward", "backward"))
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(nn, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(nn, name, counted)
+
+        params = model.init_rene(cfg, seed=46)
+        frames = np.random.default_rng(47).standard_normal((120, 80))
+        model.rene_apply(frames, params, cfg, cache=False)
+        inference = dict(counts)
+        counts.update(dict.fromkeys(names, 0))
+        _, tape = model.rene_apply(frames, params, cfg)
+        model.rene_grad(np.ones(cfg.n_classes), tape, params, cfg)
+        for kernel, n in expected.items():
+            fwd, bwd = f"{kernel}_forward", f"{kernel}_backward"
+            assert (counts[fwd], counts[bwd]) == (n, n), kernel
+            assert (inference[fwd], inference[bwd]) == (n, 0), kernel
 
 
 def widened(tree):
