@@ -8,8 +8,9 @@
 Each sequential sublayer (feed-forward, attention, conv module, conv stems,
 trial branches) is a list of `nn` kernel steps run by one chain runner:
 `_chain_forward` records a tape and `_chain_backward` walks it in reverse.
-Only the residual joins (the encoder and Conformer blocks, the trial head's
-merge and pool) and the BiGRU are written out by hand.
+A step may nest a chain as a scaled residual, so the encoder and Conformer
+block stacks run on the same runner. Only the encoder's positional add, the
+trial head's merge and pool, and the BiGRU are written out by hand.
 
 `rene_apply` with its default `cache=True` returns the tapes the backward
 pass (`rene_grad`) reads; with `cache=False`, as every inference caller uses
@@ -232,33 +233,47 @@ def check_params(params: dict, cfg: ReneConfig,
 # A sequential sublayer is a chain of steps, each (nn kernel name, parameter
 # key or None, extra keyword arguments), and `_chain_forward` and
 # `_chain_backward` are its only forward and backward: the order of a
-# sublayer is written once. Kernels are looked up on `nn` at call time, so a
-# wrapper set on the module attribute sees every call. With cache=False the
-# runner keeps no step's cache, so an inference decode holds no layer's
-# activations past the call that made them; only training needs the tape.
+# sublayer is written once. A step whose kernel is itself a tuple of steps
+# runs that chain on the subtree at its key; with a scale in place of the
+# keyword arguments it is the residual x + scale * chain(x), with None the
+# chain alone, so a block stack is a chain of nested chains. Kernels are
+# looked up on `nn` at call time, so a wrapper set on the module attribute
+# sees every call. With cache=False the runner keeps no step's cache, so an
+# inference decode holds no layer's activations past the call that made
+# them; only training needs the tape.
 
 def _chain_forward(x, steps, p, cache=True):
     """Run `steps` on `x`; return (y, tape), the tape None when not caching."""
     tape = [] if cache else None
     for kernel, key, extra in steps:
         leaves = {} if key is None else p[key]
-        if kernel == "multi_head_self_attention":  # takes its leaves as one dict
-            leaves = {"params": leaves}
-        x, c = getattr(nn, kernel + "_forward")(x, **leaves, **extra)
+        if isinstance(kernel, tuple):  # a nested chain, residual when scaled
+            y, c = _chain_forward(x, kernel, leaves, cache)
+            x = y if extra is None else x + extra * y
+        else:
+            if kernel == "multi_head_self_attention":  # takes its leaves as one dict
+                leaves = {"params": leaves}
+            x, c = getattr(nn, kernel + "_forward")(x, **leaves, **extra)
         if cache:
-            tape.append((kernel, key, c))
+            tape.append((kernel, key, extra, c))
     return x, tape
 
 
 def _chain_backward(dy, tape):
     """Backward through a tape in reverse; (dx, gradients by parameter key)."""
     grads = {}
-    for kernel, key, c in reversed(tape):
-        out = getattr(nn, kernel + "_backward")(dy, c)
-        if key is None:  # a parameter-free step returns dx alone
-            dy = out
-        else:
-            dy, grads[key] = out
+    for kernel, key, extra, c in reversed(tape):
+        if not isinstance(kernel, tuple):
+            out = getattr(nn, kernel + "_backward")(dy, c)
+            if key is None:  # a parameter-free step returns dx alone
+                dy = out
+            else:
+                dy, grads[key] = out
+        elif extra is None:
+            dy, grads[key] = _chain_backward(dy, c)
+        else:  # the skip path passes dy through unchanged
+            dx, grads[key] = _chain_backward(extra * dy, c)
+            dy = dy + dx
     return dy, grads
 
 
@@ -285,6 +300,19 @@ _ENCODER_STEM = _stem_steps((1, 2))
 _SUBSAMPLE = _stem_steps((2, 2)) + (("linear", "proj", {}),)
 
 
+def _stack(block, n_layers):
+    """`n_layers` copies of a block's steps, each on its subtree `block{i}`."""
+    return tuple((block, f"block{i}", None) for i in range(n_layers))
+
+
+def _conformer_block_steps(n_heads):
+    """One Macaron block: half-step FF, attention, conv module, half-step FF,
+    each a residual, then a final layer norm."""
+    return ((_FF, "ff1", 0.5), (_attn_steps(n_heads), "attn", 1.0),
+            (_CONV_MODULE, "conv", 1.0), (_FF, "ff2", 0.5),
+            ("layer_norm", "ln_final", {}))
+
+
 def _branch_steps(prefix, kernels):
     """One GELU depthwise-separable convolution per kernel of a trial branch."""
     return tuple(step for i in range(len(kernels)) for step in
@@ -294,39 +322,15 @@ def _branch_steps(prefix, kernels):
 # ----------------------------------------------------------- whisper encoder
 
 def _encoder_apply(frames, params, cfg, cache=True):
+    """The stem chain, the positional table added at the join, then the body
+    chain: pre-activation attention and FF residuals per block, final norm."""
     p = params["encoder"]
     g2, c_stem = _chain_forward(frames, _ENCODER_STEM, p, cache)
     h = g2 + nn.sinusoidal_positional_embedding(g2.shape[0], cfg.whisper_dim)
-    attn = _attn_steps(cfg.whisper_heads)
-    block_caches = []
-    for i in range(cfg.whisper_layers):
-        bp = p[f"block{i}"]
-        a, c_a = _chain_forward(h, attn, bp["attn"], cache)
-        h = h + a
-        f, c_f = _chain_forward(h, _FF, bp["ff"], cache)
-        h = h + f
-        if cache:
-            block_caches.append((c_a, c_f))
-    y, c_ln = nn.layer_norm_forward(
-        h, p["ln_final"]["gain"], p["ln_final"]["bias"]
-    )
-    return y, ((c_stem, block_caches, c_ln) if cache else None)
-
-
-def _encoder_backward(dy, cache, cfg):
-    c_stem, block_caches, c_ln = cache
-    grads: dict = {}
-    dh, grads["ln_final"] = nn.layer_norm_backward(dy, c_ln)
-    for i in reversed(range(cfg.whisper_layers)):
-        c_a, c_f = block_caches[i]
-        df, g_f = _chain_backward(dh, c_f)
-        dh = dh + df
-        da, g_a = _chain_backward(dh, c_a)
-        dh = dh + da
-        grads[f"block{i}"] = {"attn": g_a, "ff": g_f}
-    dx, g_stem = _chain_backward(dh, c_stem)
-    grads.update(g_stem)
-    return dx, grads
+    block = ((_attn_steps(cfg.whisper_heads), "attn", 1.0), (_FF, "ff", 1.0))
+    body = _stack(block, cfg.whisper_layers) + (("layer_norm", "ln_final", {}),)
+    y, c_body = _chain_forward(h, body, p, cache)
+    return y, ((c_stem, c_body) if cache else None)
 
 
 def encoder_forward(spec, params, cfg: ReneConfig) -> np.ndarray:
@@ -338,59 +342,16 @@ def encoder_forward(spec, params, cfg: ReneConfig) -> np.ndarray:
 
 # ---------------------------------------------------------- conformer encoder
 
-def _conformer_block_apply(x, p, n_heads, cache=True):
-    """One Macaron block: half-step FF, attention, conv module, half-step FF,
-    final layer norm."""
-    f1, c_f1 = _chain_forward(x, _FF, p["ff1"], cache)
-    x1 = x + 0.5 * f1
-    a, c_a = _chain_forward(x1, _attn_steps(n_heads), p["attn"], cache)
-    x2 = x1 + a
-    cm, c_c = _chain_forward(x2, _CONV_MODULE, p["conv"], cache)
-    x3 = x2 + cm
-    f2, c_f2 = _chain_forward(x3, _FF, p["ff2"], cache)
-    x4 = x3 + 0.5 * f2
-    y, c_ln = nn.layer_norm_forward(x4, p["ln_final"]["gain"], p["ln_final"]["bias"])
-    return y, ((c_f1, c_a, c_c, c_f2, c_ln) if cache else None)
-
-
-def _conformer_block_backward(dy, cache):
-    c_f1, c_a, c_c, c_f2, c_ln = cache
-    dx4, g_lnf = nn.layer_norm_backward(dy, c_ln)
-    df2, g_f2 = _chain_backward(0.5 * dx4, c_f2)
-    dx3 = dx4 + df2
-    dc, g_c = _chain_backward(dx3, c_c)
-    dx2 = dx3 + dc
-    da, g_a = _chain_backward(dx2, c_a)
-    dx1 = dx2 + da
-    df1, g_f1 = _chain_backward(0.5 * dx1, c_f1)
-    dx = dx1 + df1
-    return dx, {"ff1": g_f1, "attn": g_a, "conv": g_c, "ff2": g_f2, "ln_final": g_lnf}
-
-
 def _conformer_apply(x, params, cfg, cache=True):
+    """The subsampling chain, then the Conformer blocks, both run on the
+    whole parameter tree so the tape yields `subsample` and `conformer`."""
     if x.shape[0] < 4:
         raise TooShortError(
             f"conformer subsampling needs at least 4 steps, got {x.shape[0]}"
         )
-    h, c_sub = _chain_forward(x, _SUBSAMPLE, params["subsample"], cache)
-    block_caches = []
-    for i in range(cfg.conformer_layers):
-        h, c = _conformer_block_apply(h, params["conformer"][f"block{i}"],
-                                      cfg.conformer_heads, cache)
-        if cache:
-            block_caches.append(c)
-    return h, ((c_sub, block_caches) if cache else None)
-
-
-def _conformer_backward(dy, cache, cfg):
-    c_sub, block_caches = cache
-    g_blocks: dict = {}
-    dh = dy
-    for i in reversed(range(cfg.conformer_layers)):
-        dh, g = _conformer_block_backward(dh, block_caches[i])
-        g_blocks[f"block{i}"] = g
-    dx, g_sub = _chain_backward(dh, c_sub)
-    return dx, g_sub, g_blocks
+    blocks = _stack(_conformer_block_steps(cfg.conformer_heads), cfg.conformer_layers)
+    return _chain_forward(x, ((_SUBSAMPLE, "subsample", None),
+                              (blocks, "conformer", None)), params, cache)
 
 
 def conformer_encoder_forward(x, params, cfg: ReneConfig) -> np.ndarray:
@@ -473,13 +434,14 @@ def rene_apply(frames, params, cfg: ReneConfig, cache=True):
 
 def rene_grad(dlogits, cache, params, cfg: ReneConfig) -> dict:
     """Backward from a logits gradient to the full parameter-gradient tree."""
-    c_enc, c_conf, c_bg, c_trial = cache
+    (c_stem, c_body), c_conf, c_bg, c_trial = cache
     dfmap, g_trial = _trial_backward(dlogits, c_trial, cfg)
     dseq, g_bigru = nn.bigru_backward(None, dfmap.reshape(-1), c_bg, params["bigru"])
-    dconf_in, g_sub, g_blocks = _conformer_backward(dseq, c_conf, cfg)
-    _dx, g_enc = _encoder_backward(dconf_in, c_enc, cfg)
-    return {"encoder": g_enc, "subsample": g_sub, "conformer": g_blocks,
-            "bigru": g_bigru, "trial": g_trial}
+    denc, g_conf = _chain_backward(dseq, c_conf)
+    dh, g_body = _chain_backward(denc, c_body)  # the positional add passes dh on
+    _dx, g_stem = _chain_backward(dh, c_stem)
+    return {"encoder": {**g_stem, **g_body}, **g_conf, "bigru": g_bigru,
+            "trial": g_trial}
 
 
 def rene_forward(signal: AudioSignal, params, cfg: ReneConfig) -> ReneOutput:

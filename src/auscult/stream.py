@@ -22,6 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .data import load_wav
 from .errors import InvalidInputError, NotReadyError, ProducerError, StaleWindowError
 from .frontend import AudioSignal
 from .fusion import ProbabilityVector
@@ -138,8 +139,6 @@ class OverrunWarning:
 def _as_signal(source) -> AudioSignal:
     if isinstance(source, AudioSignal):
         return source
-    from .data import load_wav
-
     return load_wav(source)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests; commands run in-process via main()."""
 
 import csv
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -249,16 +250,30 @@ class TestClusterFuzz:
         assert code in (0, 2)
 
 
+def save_tiny(fuzz_dir, cfg, name):
+    """`cfg`'s seed-0 model stored as float32 records, beside the 4 s
+    recording a manifest names."""
+    make_corpus(fuzz_dir)
+    params_path, config_path = fuzz_dir / f"{name}.params", fuzz_dir / f"{name}.cfg"
+    flat = flatten_params(init_rene(cfg, seed=0))
+    save_params(params_path, {k: v.astype(np.float32) for k, v in flat.items()})
+    save_model_config(config_path, cfg)
+    return str(params_path), str(config_path)
+
+
 @pytest.fixture(scope="module")
 def tiny_files(fuzz_dir):
-    """The TINY model that an unedited `config_bytes()` document describes,
-    stored as float32 records, beside the 4 s recording a manifest names."""
-    make_corpus(fuzz_dir)
-    params_path, config_path = fuzz_dir / "tiny.params", fuzz_dir / "tiny.cfg"
-    flat = flatten_params(init_rene(TINY, seed=0))
-    save_params(params_path, {k: v.astype(np.float32) for k, v in flat.items()})
-    save_model_config(config_path, TINY)
-    return str(params_path), str(config_path)
+    """The TINY model that an unedited `config_bytes()` document describes."""
+    return save_tiny(fuzz_dir, TINY, "tiny")
+
+
+@pytest.fixture(scope="module")
+def tiny4_files(fuzz_dir):
+    """TINY's layers with cw4's four classes, so `eval` reaches its scoring."""
+    return save_tiny(fuzz_dir, dataclasses.replace(TINY, n_classes=4), "tiny4")
+
+
+SCORED_MANIFEST = b"wav_path,annotation_path,patient_id,emr_key\nrec.wav,rec.txt,p1,\n"
 
 
 class TestModelInputFuzz:
@@ -280,16 +295,18 @@ class TestModelInputFuzz:
     @settings(max_examples=40, deadline=None)
     @given(raw=st.one_of(st.binary(max_size=200), manifest_bytes()),
            scheme=st.sampled_from(["cw4", "binary"]))
-    @example(raw=b"wav_path,annotation_path,patient_id,emr_key\nrec.wav,rec.txt,p1,\n",
-             scheme="cw4")  # four labelled cycles: scores
-    def test_eval_manifest_exits_zero_or_two(self, fuzz_dir, tiny_files, raw, scheme):
+    @example(raw=SCORED_MANIFEST, scheme="cw4")  # four labelled cycles: scores
+    def test_eval_manifest_exits_zero_or_two(self, fuzz_dir, tiny4_files, raw, scheme):
         path = fuzz_dir / "fuzz.csv"
         path.write_bytes(raw)
         code = main([
-            "eval", "--manifest", str(path), "--params", tiny_files[0],
-            "--config", tiny_files[1], "--scheme", scheme,
+            "eval", "--manifest", str(path), "--params", tiny4_files[0],
+            "--config", tiny4_files[1], "--scheme", scheme,
         ])
-        assert code in (0, 2)
+        if (raw, scheme) == (SCORED_MANIFEST, "cw4"):
+            assert code == 0
+        else:
+            assert code in (0, 2)
 
 
 class TestCorrelate:

@@ -144,7 +144,8 @@ class TestConformer:
         cfg, bp = self._block_params()
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 64))
-        y = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
+        y = model._chain_forward(
+            x, model._conformer_block_steps(cfg.conformer_heads), bp)[0]
         assert y.shape == (10, 64)
 
     def test_zero_sublayers_reduce_to_layer_norm(self):
@@ -156,7 +157,8 @@ class TestConformer:
         bp["attn"]["mhsa"]["bo"][:] = 0.0
         rng = np.random.default_rng(10)
         x = rng.standard_normal((6, 64))
-        got = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
+        got = model._chain_forward(
+            x, model._conformer_block_steps(cfg.conformer_heads), bp)[0]
         expected, _ = nn.layer_norm_forward(
             x, bp["ln_final"]["gain"], bp["ln_final"]["bias"]
         )
@@ -173,7 +175,8 @@ class TestConformer:
         bp["attn"]["mhsa"]["bo"][:] = 0.0
         rng = np.random.default_rng(12)
         x = rng.standard_normal((5, 64))
-        y = model._conformer_block_apply(x, bp, cfg.conformer_heads)[0]
+        y = model._chain_forward(
+            x, model._conformer_block_steps(cfg.conformer_heads), bp)[0]
         ff1_out, _ = model._chain_forward(x, model._FF, bp["ff1"])
         expected, _ = nn.layer_norm_forward(
             x + 0.5 * ff1_out, bp["ln_final"]["gain"], bp["ln_final"]["bias"]
@@ -194,6 +197,56 @@ class TestConformer:
         params = model.init_rene(cfg, seed=15)
         with pytest.raises(TooShortError):
             model.conformer_encoder_forward(np.zeros((3, 64)), params, cfg)
+
+
+class TestChainRunner:
+    """A step whose kernel is a tuple of steps runs that chain on its subtree:
+    with a scale as the residual x + scale * chain(x), with None alone."""
+
+    INNER = (("layer_norm", "ln", {}), ("linear", "lin", {}), model._GELU)
+    STEPS = ((INNER, "half", 0.5), (INNER, "full", 1.0),
+             (((INNER, "res", 1.0), ("linear", "lin", {})), "nest", None))
+
+    @pytest.fixture
+    def tree(self):
+        rng = np.random.default_rng(53)
+
+        def inner():
+            ln = {"gain": rng.uniform(0.5, 1.5, 4), "bias": rng.uniform(-0.5, 0.5, 4)}
+            return {"ln": ln, "lin": {"w": rng.standard_normal((4, 4)),
+                                      "b": rng.standard_normal(4)}}
+
+        p = {"half": inner(), "full": inner(),
+             "nest": {"res": inner(), "lin": nn.init_linear(rng, 4, 3)}}
+        return p, rng.standard_normal((5, 4))
+
+    def test_forward_is_the_residual_sum(self, tree):
+        p, x = tree
+
+        def chain(h, sub):
+            return model._chain_forward(h, self.INNER, sub, cache=False)[0]
+
+        h1 = x + 0.5 * chain(x, p["half"])
+        h2 = h1 + 1.0 * chain(h1, p["full"])
+        h3 = h2 + 1.0 * chain(h2, p["nest"]["res"])
+        expected, _ = nn.linear_forward(h3, p["nest"]["lin"]["w"], p["nest"]["lin"]["b"])
+        y, _ = model._chain_forward(x, self.STEPS, p)
+        assert np.array_equal(y, expected)
+
+    def test_backward_matches_finite_differences_on_every_entry(self, tree):
+        p, x = tree
+        weights = np.random.default_rng(54).standard_normal((5, 3))
+
+        def loss():
+            return float(np.sum(model._chain_forward(x, self.STEPS, p, cache=False)[0]
+                                * weights))
+
+        _, tape = model._chain_forward(x, self.STEPS, p)
+        dx, grads = model._chain_backward(weights, tape)
+        arrays = {**nn.flatten_params(p), "x": x}
+        analytic = {**nn.flatten_params(grads), "x": dx}
+        assert sorted(arrays) == sorted(analytic)
+        assert nn.grad_check(loss, arrays, analytic) <= 1e-5
 
 
 class TestBigruDecode:
