@@ -229,6 +229,8 @@ def cmd_smote(args):
 
 
 def cmd_gbdt(args):
+    if args.predict and not args.out:
+        raise InvalidInputError("--predict needs --out")
     names = _features_list(args.features)
     table, matrix = _emr_features(args.train, names)
     codes, classes = emr_mod.label_encode(table.label_column(args.label))
@@ -249,8 +251,6 @@ def cmd_gbdt(args):
     if args.predict:
         _, test_matrix = _emr_features(args.predict, names)
         test_probs = emr_mod.gbdt_predict_proba(model, test_matrix)
-        if not args.out:
-            raise InvalidInputError("--predict needs --out")
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(classes)

@@ -498,51 +498,59 @@ class GbdtModel:
         return len(self.trees)
 
 
-def _fit_tree(x, grad, hess, depth_left, gains):
-    g_total = grad.sum()
-    h_total = hess.sum()
+def _fit_tree(x, grad, hess, rows, order, depth_left, gains, out):
+    """Fit the node over `rows` and write each leaf's value into out[rows],
+    the tree's scores on the training rows.
+
+    `rows` stay ascending, so the node totals sum in row order. order[j]
+    lists the node's rows sorted by feature j, ties in row order; a child's
+    orders are a stable filter of its parent's, so no node sorts.
+    """
+    g_total = grad[rows].sum()
+    h_total = hess[rows].sum()
     leaf = {"leaf": -g_total / (h_total + EPS_HESSIAN)}
-    n = x.shape[0]
+    out[rows] = leaf["leaf"]  # a split's leaves overwrite their own rows
+    d, n = order.shape
     if depth_left == 0 or n < GBDT_MIN_SAMPLES:
         return leaf
 
     parent_score = g_total**2 / (h_total + EPS_HESSIAN)
-    # gain[pos, j]: cutting feature j between sorted rows pos and pos + 1,
-    # scored from prefix sums of grad and hess in that feature's order.
+    # Only the cuts between distinct neighbours in a feature's order are
+    # scored, from prefix sums of grad and hess along that order.
     # float_power squares through pow(), as `**` does on a float64 scalar;
     # an array's `**2` multiplies instead and can differ in the last bit.
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    gl = np.cumsum(grad[order], axis=0)[:-1]
-    hl = np.cumsum(hess[order], axis=0)[:-1]
+    xs = x[order, np.arange(d)[:, None]]
+    cut = xs[:, :-1] != xs[:, 1:]
+    if not cut.any():
+        return leaf
+    gl = np.cumsum(grad[order], axis=1)[:, :-1][cut]
+    hl = np.cumsum(hess[order], axis=1)[:, :-1][cut]
     gr, hr = g_total - gl, h_total - hl
     gain = 0.5 * (
         np.float_power(gl, 2) / (hl + EPS_HESSIAN)
         + np.float_power(gr, 2) / (hr + EPS_HESSIAN)
         - parent_score
     )
-    gain[xs[:-1] == xs[1:]] = -np.inf  # no cut between equal values
-    # argmax keeps the first maximum, so ties go to the earliest feature,
-    # then to the earliest cut
-    cut = gain.argmax(axis=0)
-    per_feature = gain[cut, np.arange(x.shape[1])]
-    j = int(per_feature.argmax())
-    best_gain = per_feature[j]
+    # argmax keeps the first maximum in feature-major order, so ties go to
+    # the earliest feature, then to the earliest cut
+    best = gain.argmax()
+    best_gain = gain[best]
     if not best_gain > 0.0:
         return leaf
 
-    pos = cut[j]
-    threshold = 0.5 * (xs[pos, j] + xs[pos + 1, j])
+    j, pos = divmod(int(np.flatnonzero(cut)[best]), n - 1)
+    threshold = 0.5 * (xs[j, pos] + xs[j, pos + 1])
     gains[j] += best_gain
-    mask = x[:, j] <= threshold
+    left = x[:, j] <= threshold
+    keep = left[order]
     return {
         "feature": j,
         "threshold": threshold,
         "gain": best_gain,
-        "left": _fit_tree(x[mask], grad[mask], hess[mask],
-                          depth_left - 1, gains),
-        "right": _fit_tree(x[~mask], grad[~mask], hess[~mask],
-                           depth_left - 1, gains),
+        "left": _fit_tree(x, grad, hess, rows[left[rows]],
+                          order[keep].reshape(d, -1), depth_left - 1, gains, out),
+        "right": _fit_tree(x, grad, hess, rows[~left[rows]],
+                           order[~keep].reshape(d, -1), depth_left - 1, gains, out),
     }
 
 
@@ -563,7 +571,13 @@ def _tree_predict(node, x):
 
 def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
     """Multi-class Newton boosting on the softmax objective with exact greedy
-    splits; per-split gains accumulate into feature_gains."""
+    splits; per-split gains accumulate into feature_gains.
+
+    Each feature is sorted once per fit (one stable argsort, the column
+    blocks of XGBoost, Chen & Guestrin 2016, section 4.1); every node
+    filters its parent's orders stably instead of sorting again. The
+    leaves write the training rows' scores as the tree is grown, so the
+    fit never walks its own trees."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -580,8 +594,11 @@ def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
     onehot = np.zeros((x.shape[0], n_classes))
     onehot[np.arange(x.shape[0]), y] = 1.0
 
+    rows = np.arange(x.shape[0])
+    order = np.argsort(x.T, axis=1, kind="stable")  # (d, n), once per fit
     gains = np.zeros(x.shape[1])
     scores = np.zeros((x.shape[0], n_classes))
+    tree_scores = np.empty(x.shape[0])
     trees = []
     for _ in range(params.n_rounds):
         shifted = scores - scores.max(axis=1, keepdims=True)
@@ -591,9 +608,9 @@ def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
         for c in range(n_classes):
             grad = probs[:, c] - onehot[:, c]
             hess = probs[:, c] * (1.0 - probs[:, c])
-            tree = _fit_tree(x, grad, hess, params.max_depth, gains)
-            round_trees.append(tree)
-            scores[:, c] += params.learning_rate * _tree_predict(tree, x)
+            round_trees.append(_fit_tree(x, grad, hess, rows, order,
+                                         params.max_depth, gains, tree_scores))
+            scores[:, c] += params.learning_rate * tree_scores
         trees.append(round_trees)
     return GbdtModel(trees=trees, n_classes=n_classes, n_features=x.shape[1],
                      learning_rate=params.learning_rate, feature_gains=gains)

@@ -384,6 +384,19 @@ class TestGbdt:
         assert rows[0] == ["asthma", "copd"]
         assert len(rows) == 21
 
+    def test_predict_without_out_fails_before_fitting(self, tmp_path, capsys):
+        emr = make_emr(tmp_path / "train.csv", n_a=3, n_b=3)
+        importance = tmp_path / "imp.csv"
+        code = main([
+            "gbdt", "--train", emr, "--features", "age,bmi",
+            "--importance", str(importance), "--predict", emr,
+        ])
+        assert code == 2
+        assert not importance.exists()
+        captured = capsys.readouterr()
+        assert "training accuracy" not in captured.out
+        assert "--predict needs --out" in captured.err
+
 
 class TestFuse:
     def write_probs(self, path, vectors):

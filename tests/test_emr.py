@@ -748,10 +748,31 @@ def row_walk_predict(node, x):
 
 
 def reference_fit(x, y, params):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(emr, "_fit_tree", scalar_scan_fit_tree)
-        mp.setattr(emr, "_tree_predict", row_walk_predict)
-        return gbdt_fit(x, y, params)
+    """gbdt_fit's booster loop written out, with every tree grown by
+    scalar_scan_fit_tree and scored on the training rows by
+    row_walk_predict."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+    onehot = np.zeros((x.shape[0], n_classes))
+    onehot[np.arange(x.shape[0]), y] = 1.0
+    gains = np.zeros(x.shape[1])
+    scores = np.zeros((x.shape[0], n_classes))
+    trees = []
+    for _ in range(params.n_rounds):
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=1, keepdims=True)
+        round_trees = []
+        for c in range(n_classes):
+            grad = probs[:, c] - onehot[:, c]
+            hess = probs[:, c] * (1.0 - probs[:, c])
+            tree = scalar_scan_fit_tree(x, grad, hess, params.max_depth, gains)
+            round_trees.append(tree)
+            scores[:, c] += params.learning_rate * row_walk_predict(tree, x)
+        trees.append(round_trees)
+    return emr.GbdtModel(trees=trees, n_classes=n_classes, n_features=x.shape[1],
+                         learning_rate=params.learning_rate, feature_gains=gains)
 
 
 def assert_same_booster(fast, ref):
@@ -766,6 +787,26 @@ def tied_table(seed, n=60, d=3, n_classes=3):
     x = rng.integers(0, 5, size=(n // 2, d)).astype(np.float64)
     y = (x.sum(axis=1).astype(np.int64) + rng.integers(0, 2, size=n // 2)) % n_classes
     return np.vstack([x, x]), np.concatenate([y, y])
+
+
+def icbhi_shaped_table(seed):
+    """Eight diagnoses in ICBHI's mix (COPD cut to 120 rows), down to a
+    1-row and a 2-row class. Adults have a BMI and children a weight and a
+    height; the other group's cells are median-imputed, so each of those
+    columns is full of one tied value."""
+    counts = (120, 37, 35, 23, 16, 13, 2, 1)
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    child = rng.random(len(y)) < 0.2 + 0.1 * y
+    age = np.where(child, rng.uniform(0.5, 12.0, len(y)), rng.normal(60.0, 12.0, len(y)))
+    bmi = np.where(child, np.nan, rng.normal(27.0, 4.0, len(y)))
+    weight = np.where(child, 3.5 + 2.6 * age + rng.normal(0.0, 1.5, len(y)), np.nan)
+    height = np.where(child, 52.0 + 25.0 * age ** 0.6, np.nan)
+    columns = {name: np.round(col, 1) for name, col in
+               zip(("age", "bmi", "weight", "height"), (age, bmi, weight, height))}
+    table = impute_median(EmrTable(columns=columns))
+    z, _mean, _std = zscore(table.matrix(list(columns)))
+    return z, y
 
 
 def cube_sq_dists(a, b):
@@ -784,6 +825,12 @@ class TestKernelExactness:
         params = GbdtParams(n_rounds=8, max_depth=3)
         assert_same_booster(gbdt_fit(x, y, params), reference_fit(x, y, params))
 
+    def test_fit_matches_scalar_scan_on_icbhi_shaped_table(self):
+        # single-row nodes and leaves at every depth, eight classes at once
+        x, y = icbhi_shaped_table(0)
+        params = GbdtParams(n_rounds=10)
+        assert_same_booster(gbdt_fit(x, y, params), reference_fit(x, y, params))
+
     def test_split_search_matches_scalar_scan_on_random_gradients(self):
         # generic gradients give generic squares, where NumPy's scalar `**`
         # (pow) and an array's `**2` (multiplication) can round differently
@@ -792,7 +839,9 @@ class TestKernelExactness:
             x = rng.integers(0, 6, size=(12, 2)).astype(np.float64)
             grad, hess = rng.standard_normal(12), rng.uniform(0.0, 0.25, 12)
             fast_gains, ref_gains = np.zeros(2), np.zeros(2)
-            fast = emr._fit_tree(x, grad, hess, 3, fast_gains)
+            order = np.argsort(x.T, axis=1, kind="stable")
+            fast = emr._fit_tree(x, grad, hess, np.arange(12), order, 3,
+                                 fast_gains, np.empty(12))
             assert fast == scalar_scan_fit_tree(x, grad, hess, 3, ref_gains)
             assert np.array_equal(fast_gains, ref_gains)
 
