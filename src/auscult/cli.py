@@ -101,13 +101,11 @@ def cmd_train(args):
     if args.manifest:
         dataset = build_event_dataset(load_manifest(args.manifest),
                                       label_scheme=args.scheme)
-        n_classes = len(dataset.class_counts)
     else:
         dataset = synthetic_tone_noise_dataset(
             n_clips=args.clips, duration_s=args.duration, seed=args.seed
         )
-        n_classes = 2
-    model_cfg = preset_config("toy", n_classes=n_classes)
+    model_cfg = preset_config("toy", n_classes=dataset.n_classes)
     train_cfg = TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -172,21 +170,16 @@ def cmd_cluster(args):
     if args.coords:
         if len(names) != 3:
             raise InvalidInputError("--coords needs exactly three features")
-        coords_table = emr_mod.EmrTable(columns={
-            **{n: table.columns[n] for n in names},
-            "cluster": [str(c) for c in model.assignments],
-        })
-        emr_mod.export_3d_coordinates(coords_table, names, "cluster", args.coords)
+        emr_mod.export_3d_coordinates(matrix, names, "cluster",
+                                      [str(c) for c in model.assignments],
+                                      args.coords)
     return 0
 
 
 def cmd_correlate(args):
     names = _features_list(args.features)
     _, matrix = _emr_features(args.emr, names)
-    corr = emr_mod.correlation_matrix(
-        emr_mod.EmrTable(columns={n: matrix[:, i] for i, n in enumerate(names)}),
-        names,
-    )
+    corr = emr_mod.correlation_matrix(matrix)
     emr_mod.write_correlation_csv(corr, names, args.out)
     print(f"wrote {len(names)}x{len(names)} correlation matrix to {args.out}")
     return 0

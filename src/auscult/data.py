@@ -26,8 +26,10 @@ def synthetic_tone_noise_dataset(n_clips: int = 60, duration_s: float = 2.0,
     """Separable 2-class demo set: narrowband tones (label 0) vs broadband
     noise (label 1). Used by the train command's self-contained demo and by
     the learnability checks."""
-    if n_clips < 2 or duration_s <= 0:
-        raise InvalidInputError("need n_clips >= 2 and a positive duration")
+    if n_clips < 2 or not 0 < duration_s < np.inf:
+        raise InvalidInputError("need n_clips >= 2 and a positive, finite duration")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = int(duration_s * TARGET_SAMPLE_RATE)
     t = np.arange(n) / TARGET_SAMPLE_RATE
@@ -44,7 +46,7 @@ def synthetic_tone_noise_dataset(n_clips: int = 60, duration_s: float = 2.0,
             AudioSignal(np.clip(x, -1, 1), TARGET_SAMPLE_RATE), FrontendConfig()
         )
         pairs.append((spec.frames, label))
-    return LabeledDataset.from_pairs(pairs, n_classes=2)
+    return LabeledDataset(pairs, n_classes=2)
 
 # label schemes -> (n_classes, (crackles, wheezes) -> class index)
 LABEL_SCHEMES = {
@@ -292,4 +294,4 @@ def build_event_dataset(manifest: Manifest,
             features = log_mel_spectrogram(clip, FrontendConfig())
             label = mapping[(int(record.crackles), int(record.wheezes))]
             pairs.append((features.frames, label))
-    return LabeledDataset.from_pairs(pairs, n_classes=n_classes)
+    return LabeledDataset(pairs, n_classes=n_classes)

@@ -17,6 +17,7 @@ from .errors import (
     ParseError,
     UndefinedCorrelationError,
 )
+from .nn import softmax
 
 EPS_HESSIAN = 1e-12
 KMEANS_MAX_ITER = 300
@@ -189,9 +190,9 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum() / (sx * sy))
 
 
-def correlation_matrix(table: EmrTable, names) -> np.ndarray:
-    data = table.matrix(names)
-    m = len(names)
+def correlation_matrix(data) -> np.ndarray:
+    """(d, d) Pearson correlations between the columns of an (n, d) matrix."""
+    m = data.shape[1]
     out = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
@@ -314,6 +315,8 @@ def kmeans_fit(points, k: int, seed: int = 0, dists=None) -> ClusterModel:
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_RESTARTS):
@@ -456,6 +459,8 @@ def smote_oversample(minority, n_synthetic: int, k_neighbors: int = 5, seed: int
         )
     if n_synthetic < 0:
         raise InvalidInputError("n_synthetic must be >= 0")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     dists = _sq_dists(minority, minority)
     np.fill_diagonal(dists, np.inf)
     neighbor_ids = np.argsort(dists, axis=1)[:, :k_neighbors]
@@ -591,8 +596,6 @@ def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
     n_classes = int(y.max()) + 1 if y.size else 0
     if len(np.unique(y)) < 2:
         raise InvalidInputError("need at least two classes")
-    onehot = np.zeros((x.shape[0], n_classes))
-    onehot[np.arange(x.shape[0]), y] = 1.0
 
     rows = np.arange(x.shape[0])
     order = np.argsort(x.T, axis=1, kind="stable")  # (d, n), once per fit
@@ -601,12 +604,10 @@ def gbdt_fit(features, labels, params: GbdtParams = GbdtParams()) -> GbdtModel:
     tree_scores = np.empty(x.shape[0])
     trees = []
     for _ in range(params.n_rounds):
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = softmax(scores)
         round_trees = []
         for c in range(n_classes):
-            grad = probs[:, c] - onehot[:, c]
+            grad = probs[:, c] - (y == c)
             hess = probs[:, c] * (1.0 - probs[:, c])
             round_trees.append(_fit_tree(x, grad, hess, rows, order,
                                          params.max_depth, gains, tree_scores))
@@ -638,10 +639,7 @@ def gbdt_decision_scores(model: GbdtModel, rows, n_rounds=None) -> np.ndarray:
 def gbdt_predict_proba(model: GbdtModel, row) -> np.ndarray:
     """Softmax over accumulated leaf scores; a 1-D row gives a 1-D simplex."""
     single = np.asarray(row).ndim == 1
-    scores = gbdt_decision_scores(model, row)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax(gbdt_decision_scores(model, row))
     return probs[0] if single else probs
 
 
@@ -651,12 +649,10 @@ def gain_importance(model: GbdtModel) -> np.ndarray:
 
 # ----------------------------------------------------------------- 3D export
 
-def export_3d_coordinates(table: EmrTable, axes, color: str, path) -> None:
-    """CSV of (x, y, z, color label) rows for external plotting."""
-    if len(axes) != 3:
+def export_3d_coordinates(data, axes, color: str, labels, path) -> None:
+    """CSV of (x, y, z, color label) rows of `data` and `labels` for plotting."""
+    if len(axes) != 3 or data.shape[1] != 3:
         raise InvalidInputError("need exactly three axis columns")
-    data = table.matrix(axes)
-    labels = table.label_column(color)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(axes) + [color])

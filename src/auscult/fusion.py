@@ -20,7 +20,7 @@ from .errors import InvalidInputError, NonFiniteError
 SIMPLEX_TOL = 1e-9
 
 
-def _check_simplex(probs: np.ndarray) -> None:
+def check_simplex(probs: np.ndarray) -> None:
     """Each row along the last axis must be finite and a simplex."""
     if not np.all(np.isfinite(probs)):
         raise NonFiniteError("probs must be finite")
@@ -39,7 +39,7 @@ class ProbabilityVector:
         object.__setattr__(self, "label_map", tuple(self.label_map))
         if probs.ndim != 1 or len(probs) != len(self.label_map):
             raise InvalidInputError("probs and label_map lengths differ")
-        _check_simplex(probs)
+        check_simplex(probs)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def alpha_sweep(p_rene_set, p_gbdt_set, truths, normal_class: int):
         alpha = step / 10.0
         # row for row what fuse_probabilities computes and checks
         fused = alpha * rene + (1.0 - alpha) * gbdt
-        _check_simplex(fused)
+        check_simplex(fused)
         preds = fused.argmax(axis=1)  # ties resolve to the lower class index
         metrics = compute_metrics(confusion_counts(preds, truths, normal_class))
         rows.append((alpha, metrics))

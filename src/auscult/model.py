@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import (FormatError, InvalidInputError, NonFiniteError, ParseError,
-                     TooShortError)
+from .errors import FormatError, InvalidInputError, ParseError, TooShortError
 from .frontend import AudioSignal, FrontendConfig, LogMelSpectrogram, log_mel_spectrogram
+from .fusion import check_simplex
 
 CONV_MODULE_KERNEL = 15
 FF_EXPANSION = 4
@@ -90,10 +90,7 @@ class ReneOutput:
     embedding: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.probs)):
-            raise NonFiniteError("probs must be finite")
-        if self.probs.min() < 0 or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise InvalidInputError("probs must be a simplex vector")
+        check_simplex(self.probs)
 
 
 _PRESETS = {
@@ -220,8 +217,21 @@ def _shapes(tree: dict) -> dict:
 def check_params(params: dict, cfg: ReneConfig,
                  n_mels: int = FrontendConfig.n_mels) -> None:
     """Raise FormatError naming the first leaf, in name order, that `params`
-    lacks, that `cfg` lacks, or whose shape differs from the config's."""
-    want, have = _shapes(_build_rene(cfg, _ShapesOnly, n_mels)), _shapes(params)
+    lacks, that `cfg` lacks, or whose shape differs from the config's.
+
+    The shapes-only tree still allocates its biases and gains at the
+    config's sizes. A matching config's sizes are axis lengths of the file's
+    leaves and its layer counts are at most the leaf count, so a config
+    beyond those bounds is refused before that tree is built."""
+    have = _shapes(params)
+    longest = max((n for shape in have.values() for n in shape), default=0)
+    for name in ("whisper_dim", "conformer_dim", "bigru_hidden", "n_classes",
+                 "trial_channels", "whisper_layers", "conformer_layers"):
+        bound = len(have) if name.endswith("_layers") else longest
+        if getattr(cfg, name) > bound:
+            raise FormatError(f"config {name}={getattr(cfg, name)} cannot match a file "
+                              f"of {len(have)} leaves whose longest axis is {longest}")
+    want = _shapes(_build_rene(cfg, _ShapesOnly, n_mels))
     for name in sorted(want.keys() | have.keys()):
         if have.get(name) != want.get(name):
             raise FormatError(f"parameter {name}: file gives {have.get(name, 'no leaf')}"

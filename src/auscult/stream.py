@@ -7,9 +7,9 @@ to have touched it; a failed check means the copy may be torn, so the
 consumer skips forward to the freshest complete window.
 
 `replay_offline` computes the identical window schedule synchronously and is
-the equivalence oracle for the threaded path. Both paths quantize the source
-to float32, mirroring the buffer storage, so their inference inputs match
-bit for bit.
+the equivalence oracle for the threaded path. The ring rounds each unit to
+float32 as it stores it and the replay rounds each window alike, so their
+inference inputs match bit for bit without a float32 copy of the recording.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ STALL_S = 5.0
 
 class RingBuffer:
     """Fixed-capacity circular store of float32 samples with an absolute,
-    monotonically increasing write cursor."""
+    monotonically increasing write cursor. Raises InvalidInputError when the
+    store cannot be allocated."""
 
     def __init__(self, sample_rate: int, buffer_min: float = 60.0):
         if sample_rate <= 0 or not 0.0 < buffer_min < np.inf:
@@ -47,7 +48,12 @@ class RingBuffer:
                                       / 1000.0))
         if self.unit_samples < 1 or self.capacity % self.unit_samples != 0:
             raise InvalidInputError("capacity must be a whole number of units")
-        self._data = np.zeros(self.capacity, dtype=np.float32)
+        try:
+            self._data = np.zeros(self.capacity, dtype=np.float32)
+        except MemoryError:
+            raise InvalidInputError(
+                f"cannot allocate a {buffer_min:g}-minute ring buffer "
+                f"({self.capacity} samples)") from None
         self._cursor = 0
 
     @property
@@ -55,7 +61,7 @@ class RingBuffer:
         return self._cursor
 
     def push(self, unit) -> int:
-        """Write one 10 ms unit; returns the advanced cursor. Producer only."""
+        """Store one 10 ms unit as float32; returns the new cursor. Producer only."""
         unit = np.asarray(unit)
         if unit.shape != (self.unit_samples,):
             raise InvalidInputError(
@@ -171,10 +177,9 @@ def _session_plan(cfg: SessionConfig, signal: AudioSignal):
     sr = signal.sample_rate
     unit = int(round(sr * cfg.frame_unit_ms / 1000.0))
     window = int(round(sr * cfg.window_s))
-    samples32 = signal.samples.astype(np.float32)
-    n_units = len(samples32) // unit
+    n_units = len(signal) // unit
     total_windows = (n_units * unit) // window
-    return sr, unit, window, samples32, n_units, total_windows
+    return sr, unit, window, n_units, total_windows
 
 
 def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
@@ -188,7 +193,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
     stops pushing for STALL_S while the consumer waits.
     """
     signal = _as_signal(cfg.source)
-    sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
+    sr, unit, window, n_units, total_windows = _session_plan(cfg, signal)
     make_event = _event_maker(cfg, sr, window, params, model_cfg, labels)
     ring = RingBuffer(sr, cfg.buffer_min)
 
@@ -203,7 +208,7 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
                 delay = t0 + k * unit_wall_s - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
-                ring.push(samples32[k * unit:(k + 1) * unit])
+                ring.push(signal.samples[k * unit:(k + 1) * unit])
         except Exception as exc:  # handed to the consumer, which re-raises it
             failure.append(exc)
 
@@ -250,11 +255,12 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
 
 
 def replay_offline(cfg: SessionConfig, params, model_cfg, labels=None):
-    """Synchronous oracle: same schedule and inference, no threads."""
+    """Synchronous oracle: same schedule, float32 rounding and inference."""
     signal = _as_signal(cfg.source)
-    sr, unit, window, samples32, n_units, total_windows = _session_plan(cfg, signal)
+    sr, _unit, window, _n_units, total_windows = _session_plan(cfg, signal)
     make_event = _event_maker(cfg, sr, window, params, model_cfg, labels)
-    return [make_event(m, samples32[(m - 1) * window: m * window].astype(np.float64))
+    return [make_event(m, signal.samples[(m - 1) * window: m * window]
+                       .astype(np.float32).astype(np.float64))
             for m in range(1, total_windows + 1)]
 
 

@@ -38,39 +38,31 @@ class TrainConfig:
             raise InvalidInputError("gamma must be in [0, 5]")
         if self.lr0 <= 0:
             raise InvalidInputError("lr0 must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """(features, label) pairs plus per-class tallies."""
+    """(features, label) pairs, each label a class index in [0, n_classes)."""
 
     items: tuple
-    class_counts: np.ndarray
+    n_classes: int
 
     def __post_init__(self):
-        counts = np.asarray(self.class_counts, dtype=np.int64)
-        tally = np.zeros_like(counts)
-        for _, label in self.items:
-            if not 0 <= label < len(counts):
-                raise InvalidInputError(f"label {label} outside [0, {len(counts)})")
-            tally[label] += 1
-        if not np.array_equal(tally, counts):
-            raise InvalidInputError("class_counts disagree with item labels")
         object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "class_counts", counts)
-
-    @classmethod
-    def from_pairs(cls, pairs, n_classes: int) -> "LabeledDataset":
-        counts = np.zeros(n_classes, dtype=np.int64)
-        for _, label in pairs:
-            if not 0 <= label < n_classes:
-                raise InvalidInputError(f"label {label} outside [0, {n_classes})")
-            counts[label] += 1
-        return cls(items=tuple(pairs), class_counts=counts)
+        for _, label in self.items:
+            if not 0 <= label < self.n_classes:
+                raise InvalidInputError(f"label {label} outside [0, {self.n_classes})")
 
     @property
     def labels(self) -> np.ndarray:
         return np.array([label for _, label in self.items], dtype=np.int64)
+
+    @property
+    def class_counts(self) -> np.ndarray:
+        """Items per class, derived from the labels."""
+        return np.bincount(self.labels, minlength=self.n_classes)
 
 
 # --------------------------------------------------------------------- losses

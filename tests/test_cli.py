@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,25 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["cluster", "--k-range", "2:3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["smote", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--duration", "nan"], "positive, finite duration"),
+        (["train", "--duration", "inf"], "positive, finite duration"),
+    ], ids=["cluster-k", "cluster-k-range", "smote", "train-seed", "train-nan",
+            "train-inf"])
+    def test_negative_seed_or_non_finite_duration_exits_two(self, tmp_path, capsys,
+                                                            argv, message):
+        emr = make_emr(tmp_path / "emr.csv")
+        out = str(tmp_path / "out")
+        inputs = {"cluster": ["--emr", emr, "--features", "age,bmi", "--out-json", out],
+                  "smote": ["--emr", emr, "--features", "age,bmi", "--out", out],
+                  "train": ["--out", out]}
+        assert main(argv + inputs[argv[0]]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestFeaturize:
@@ -552,6 +572,36 @@ class TestStreamCommands:
         edited.write_text(text + "\n")
         assert self._replay(tmp_path, params_path, edited) == 2
         assert f"parameter {leaf}:" in capsys.readouterr().err
+
+    def test_replay_oversized_config_exits_two(self, tmp_path, model_files, capsys):
+        # the shapes-only tree of this config would allocate 29.1 TiB of biases
+        params_path, config_path = model_files
+        lines = Path(config_path).read_text().splitlines()
+        edited = tmp_path / "huge.cfg"
+        edited.write_text("\n".join("whisper_dim=4000000000000"
+                                    if row.startswith("whisper_dim=") else row
+                                    for row in lines) + "\n")
+        tracemalloc.start()
+        try:
+            code = self._replay(tmp_path, params_path, edited)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "config whisper_dim=4000000000000 cannot match" in capsys.readouterr().err
+        # the 10 s WAV and the toy parameter file, nothing sized by the config
+        assert peak < 32 * 2**20
+
+    def test_stream_unallocatable_buffer_exits_two(self, tmp_path, model_files, capsys):
+        # 1e9 minutes at 16 kHz is 3.41 PiB of float32, beyond any address space
+        params_path, config_path = model_files
+        wav = make_wav(tmp_path / "long.wav", seconds=10.0)
+        code = main([
+            "stream", "--source", wav, "--model", params_path,
+            "--config", config_path, "--buffer-min", "1e9",
+        ])
+        assert code == 2
+        assert "cannot allocate a 1e+09-minute ring buffer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, leaf", [
         ("drop", "subsample.proj.b"),

@@ -187,7 +187,7 @@ class TestCorrelationMatrix:
             "b": rng.standard_normal(40),
             "c": rng.standard_normal(40),
         })
-        m = correlation_matrix(table, ["a", "b", "c"])
+        m = correlation_matrix(table.matrix(["a", "b", "c"]))
         np.testing.assert_allclose(m, m.T)
         np.testing.assert_allclose(np.diag(m), 1.0)
         assert m[0, 1] == pytest.approx(
@@ -199,7 +199,7 @@ class TestCorrelationMatrix:
             "a": np.array([1.0, 2.0, 3.0]),
             "b": np.array([2.0, 4.0, 7.0]),
         })
-        m = correlation_matrix(table, ["a", "b"])
+        m = correlation_matrix(table.matrix(["a", "b"]))
         path = tmp_path / "corr.csv"
         write_correlation_csv(m, ["a", "b"], path)
         with open(path, newline="") as fh:
@@ -1039,7 +1039,8 @@ class TestExport3d:
             "cluster": ["0", "1"],
         })
         path = tmp_path / "coords.csv"
-        export_3d_coordinates(table, ["x", "y", "z"], "cluster", path)
+        export_3d_coordinates(table.matrix(["x", "y", "z"]), ["x", "y", "z"],
+                              "cluster", table.label_column("cluster"), path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y", "z", "cluster"]
@@ -1049,15 +1050,18 @@ class TestExport3d:
     def test_requires_three_axes(self, tmp_path):
         table = EmrTable(columns={"x": np.array([1.0])})
         with pytest.raises(InvalidInputError):
-            export_3d_coordinates(table, ["x"], "x", tmp_path / "c.csv")
+            export_3d_coordinates(table.matrix(["x"]), ["x"], "x",
+                                  table.label_column("x"), tmp_path / "c.csv")
 
     def test_numeric_color_column_and_unknown_color(self, tmp_path):
         table = EmrTable(columns={"x": np.array([1.0, 2.5]), "y": np.array([3.0, 4.0]),
                                   "z": np.array([5.0, 6.0]),
                                   "code": np.array([0.1, 1e-12])})
         path = tmp_path / "coords.csv"
-        export_3d_coordinates(table, ["x", "y", "z"], "code", path)
+        export_3d_coordinates(table.matrix(["x", "y", "z"]), ["x", "y", "z"],
+                              "code", table.label_column("code"), path)
         with open(path, newline="") as fh:
             assert [row[3] for row in csv.reader(fh)] == ["code", "0.1", "1e-12"]
         with pytest.raises(InvalidInputError, match="no column 'cluster'"):
-            export_3d_coordinates(table, ["x", "y", "z"], "cluster", path)
+            export_3d_coordinates(table.matrix(["x", "y", "z"]), ["x", "y", "z"],
+                                  "cluster", table.label_column("cluster"), path)

@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,21 @@ class TestReplayOffline:
         assert events[0].window_span == (0, 160000)
         assert events[0].timestamp == pytest.approx(10.0)
         assert events[0].probs.probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_holds_no_float32_copy_of_the_recording(self):
+        cfg, params = toy_setup()
+        n = 300 * 16000
+        signal = AudioSignal(np.random.default_rng(0).uniform(-0.5, 0.5, n), 16000)
+        session = SessionConfig(source=signal)
+        tracemalloc.start()
+        try:
+            events = replay_offline(session, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 30
+        # a float32 copy of the recording alone would be n * 4 B = 18.3 MiB
+        assert peak < 15 * 2**20
 
     def test_window_schedule(self):
         cfg, params = toy_setup()

@@ -118,7 +118,7 @@ class TestSamplerWeights:
     def test_monte_carlo_batch_composition(self):
         labels = np.array([0] * 90 + [1] * 10)
         pairs = [(np.zeros((4, 80)), int(l)) for l in labels]
-        ds = LabeledDataset.from_pairs(pairs, 2)
+        ds = LabeledDataset(pairs, 2)
         w = item_sampling_weights(ds)
         assert w.sum() == pytest.approx(1.0)
         rng = np.random.default_rng(3)
@@ -163,22 +163,21 @@ class TestTrainConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(lr0=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
 
 class TestLabeledDataset:
     def test_from_pairs_counts(self):
         pairs = [(np.zeros((3, 80)), 0), (np.zeros((3, 80)), 1), (np.zeros((3, 80)), 1)]
-        ds = LabeledDataset.from_pairs(pairs, 3)
+        ds = LabeledDataset(pairs, 3)
         np.testing.assert_array_equal(ds.class_counts, [1, 2, 0])
         np.testing.assert_array_equal(ds.labels, [0, 1, 1])
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            LabeledDataset.from_pairs([(np.zeros((3, 80)), 5)], 2)
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LabeledDataset(items=((np.zeros((3, 80)), 0),),
-                           class_counts=np.array([2]))
+            LabeledDataset([(np.zeros((3, 80)), 5)], 2)
 
 
 class TestSgdStep:
@@ -226,7 +225,7 @@ class TestTrainToy:
 
     def test_non_finite_loss_raises_with_step(self):
         pairs = [(np.full((10, 80), np.nan), 0), (np.full((10, 80), np.nan), 1)]
-        ds = LabeledDataset.from_pairs(pairs, 2)
+        ds = LabeledDataset(pairs, 2)
         cfg = preset_config("toy", n_classes=2)
         tc = TrainConfig(lr0=0.1, epochs=1, batch_size=2, seed=7)
         with pytest.raises(TrainingDivergedError) as exc:
