@@ -5,7 +5,8 @@ Submodules group the pipeline stages: `frontend` (log-mel DSP), `nn`
 architecture and its presets), `training` (focal-loss SGD), `emr`
 (tabular analytics: clustering, SMOTE, boosted trees), `fusion`
 (challenge metrics and probability fusion), `data` (WAV and annotation
-io), `stream` (ring buffer and live sessions), and `cli`.
+io), `textio` (UTF-8 reads and the CSV dialect), `stream` (ring buffer and
+live sessions), and `cli`.
 """
 
 from .errors import (

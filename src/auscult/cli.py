@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data or format error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -28,6 +27,7 @@ from .frontend import (
     write_spectrogram_f32,
 )
 from .fusion import (
+    METRIC_COLUMNS,
     ProbabilityVector,
     alpha_sweep,
     compute_metrics,
@@ -49,6 +49,7 @@ from .stream import (
     run_session,
     write_events_jsonl,
 )
+from .textio import write_csv
 from .training import TrainConfig, train_toy, training_accuracy, write_loss_trace
 
 SCHEME_LABELS = {
@@ -142,14 +143,7 @@ def cmd_eval(args):
     for name in ("se", "sp", "as_score", "hs", "final_score"):
         print(f"{name}: {getattr(metrics, name):.4f}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["se", "sp", "as", "hs", "score"])
-            writer.writerow([
-                f"{metrics.se:.6f}", f"{metrics.sp:.6f}",
-                f"{metrics.as_score:.6f}", f"{metrics.hs:.6f}",
-                f"{metrics.final_score:.6f}",
-            ])
+        write_csv(args.out, METRIC_COLUMNS, [metrics.cells()])
     return 0
 
 
@@ -210,13 +204,9 @@ def cmd_smote(args):
         rows, n_synthetic=need, k_neighbors=args.k_neighbors, seed=args.seed
     )
     synthetic = synthetic * std + mean
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + [args.label])
-        for row, lab in zip(matrix, labels):
-            writer.writerow([f"{v:.10g}" for v in row] + [lab])
-        for row in synthetic:
-            writer.writerow([f"{v:.10g}" for v in row] + [minority])
+    labeled = [*zip(matrix, labels), *((row, minority) for row in synthetic)]
+    write_csv(args.out, names + [args.label],
+              ([f"{v:.10g}" for v in row] + [lab] for row, lab in labeled))
     print(f"added {need} synthetic rows for class {minority!r}")
     return 0
 
@@ -236,19 +226,12 @@ def cmd_gbdt(args):
     print(f"training accuracy {acc:.3f} over {len(classes)} classes")
     if args.importance:
         gains = emr_mod.gain_importance(model)
-        with open(args.importance, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "gain"])
-            for name, gain in zip(names, gains):
-                writer.writerow([name, f"{gain:.10g}"])
+        write_csv(args.importance, ["feature", "gain"],
+                  ([name, f"{gain:.10g}"] for name, gain in zip(names, gains)))
     if args.predict:
         _, test_matrix = _emr_features(args.predict, names)
         test_probs = emr_mod.gbdt_predict_proba(model, test_matrix)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(classes)
-            for row in test_probs:
-                writer.writerow([f"{p:.6f}" for p in row])
+        write_csv(args.out, classes, ([f"{p:.6f}" for p in row] for row in test_probs))
     return 0
 
 

@@ -4,7 +4,6 @@ and slicing recordings into labeled per-cycle clips.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -13,6 +12,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, InvalidInputError, ParseError
 from .frontend import AudioSignal, FrontendConfig, log_mel_spectrogram
+from .textio import read_csv, read_lines
 from .training import LabeledDataset
 
 TARGET_SAMPLE_RATE = 16000
@@ -32,7 +32,11 @@ def synthetic_tone_noise_dataset(n_clips: int = 60, duration_s: float = 2.0,
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = int(duration_s * TARGET_SAMPLE_RATE)
-    t = np.arange(n) / TARGET_SAMPLE_RATE
+    try:
+        t = np.arange(n) / TARGET_SAMPLE_RATE
+    except MemoryError:
+        raise InvalidInputError(
+            f"cannot allocate a {duration_s:g} s clip ({n} samples)") from None
     pairs = []
     for i in range(n_clips):
         if i % 2 == 0:
@@ -164,13 +168,8 @@ def _resample_linear(samples, rate_in: int, rate_out: int):
 
 def parse_cycle_annotations(path):
     """Whitespace-separated lines: begin end crackles wheezes."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
     records = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -209,13 +208,7 @@ def load_manifest(path) -> Manifest:
     whole-clip labels. Referenced files must exist; a WAV may not appear
     under two patient ids."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise ParseError(str(exc)) from None
+    rows = read_csv(path)
     if not rows or [h.strip() for h in rows[0]] != MANIFEST_COLUMNS:
         raise ParseError(
             f"manifest header must be {','.join(MANIFEST_COLUMNS)}", line=1

@@ -5,7 +5,6 @@ tree classifier with gain importance.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .nn import softmax
+from .textio import read_csv, write_csv
 
 EPS_HESSIAN = 1e-12
 KMEANS_MAX_ITER = 300
@@ -77,13 +77,7 @@ class EmrTable:
 def read_emr_csv(path) -> EmrTable:
     """Header row required; empty cells are missing values. A column is
     numeric when every non-empty cell parses as a finite float."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise ParseError(str(exc)) from None
+    rows = read_csv(path)
     if not rows:
         raise ParseError("empty CSV", line=1)
     header = [h.strip() for h in rows[0]]
@@ -201,11 +195,9 @@ def correlation_matrix(data) -> np.ndarray:
 
 
 def write_correlation_csv(matrix: np.ndarray, names, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(names))
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [f"{v:.10g}" for v in row])
+    write_csv(path, [""] + list(names),
+              ([name] + [f"{v:.10g}" for v in row]
+               for name, row in zip(names, matrix)))
 
 
 # -------------------------------------------------------------------- k-means
@@ -376,16 +368,19 @@ def silhouette(points, assignments, dists=None):
 def select_k(points, k_range, seed: int = 0):
     """Fit every k; return (best_k, model) maximizing mean silhouette,
     ties broken toward smaller k. One distance matrix serves every k."""
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise InvalidInputError("empty k range")
     points = _check_points(points)
     n = points.shape[0]
-    if ks[0] < 2 or ks[-1] > n - 1:
-        raise InvalidInputError("k range must lie within [2, n-1]")
+    ks = set()
+    for k in map(int, k_range):
+        # checked as read, so a range too long to hold fails at its first bad k
+        if not 2 <= k <= n - 1:
+            raise InvalidInputError("k range must lie within [2, n-1]")
+        ks.add(k)
+    if not ks:
+        raise InvalidInputError("empty k range")
     dists = _distance_matrix(points)
     best_k, best_model = None, None
-    for k in ks:
+    for k in sorted(ks):
         model = kmeans_fit(points, k, seed=seed, dists=dists)
         if best_model is None or model.silhouette_mean > best_model.silhouette_mean:
             best_k, best_model = k, model
@@ -423,10 +418,7 @@ def write_cluster_summary_csv(rows, path) -> None:
     if not rows:
         raise InvalidInputError("no summary rows to write")
     names = list(rows[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=names)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, names, ([row[name] for name in names] for row in rows))
 
 
 def write_cluster_json(model: ClusterModel, path) -> None:
@@ -653,8 +645,5 @@ def export_3d_coordinates(data, axes, color: str, labels, path) -> None:
     """CSV of (x, y, z, color label) rows of `data` and `labels` for plotting."""
     if len(axes) != 3 or data.shape[1] != 3:
         raise InvalidInputError("need exactly three axis columns")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(axes) + [color])
-        for row, lab in zip(data, labels):
-            writer.writerow([f"{v:.10g}" for v in row] + [lab])
+    write_csv(path, list(axes) + [color],
+              ([f"{v:.10g}" for v in row] + [lab] for row, lab in zip(data, labels)))

@@ -10,12 +10,12 @@ score.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NonFiniteError
+from .textio import write_csv
 
 SIMPLEX_TOL = 1e-9
 
@@ -81,6 +81,10 @@ class ConfusionCounts:
         return int(self.totals[self.normal_class])
 
 
+# the CSV header over TaskMetrics.cells()
+METRIC_COLUMNS = ["se", "sp", "as", "hs", "score"]
+
+
 @dataclass(frozen=True)
 class TaskMetrics:
     se: float
@@ -96,6 +100,10 @@ class TaskMetrics:
                 raise InvalidInputError(f"{name} outside [0, 1]")
         if self.hs > self.as_score + 1e-12:
             raise InvalidInputError("harmonic mean exceeds arithmetic mean")
+
+    def cells(self) -> list:
+        return [f"{v:.6f}" for v in
+                (self.se, self.sp, self.as_score, self.hs, self.final_score)]
 
 
 def fuse_probabilities(p_rene: ProbabilityVector, p_gbdt: ProbabilityVector,
@@ -167,15 +175,5 @@ def alpha_sweep(p_rene_set, p_gbdt_set, truths, normal_class: int):
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "se", "sp", "as", "hs", "score"])
-        for alpha, m in rows:
-            writer.writerow([
-                f"{alpha:.1f}",
-                f"{m.se:.6f}",
-                f"{m.sp:.6f}",
-                f"{m.as_score:.6f}",
-                f"{m.hs:.6f}",
-                f"{m.final_score:.6f}",
-            ])
+    write_csv(path, ["alpha", *METRIC_COLUMNS],
+              ([f"{alpha:.1f}", *m.cells()] for alpha, m in rows))

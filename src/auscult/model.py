@@ -30,6 +30,7 @@ from . import nn
 from .errors import FormatError, InvalidInputError, ParseError, TooShortError
 from .frontend import AudioSignal, FrontendConfig, LogMelSpectrogram, log_mel_spectrogram
 from .fusion import check_simplex
+from .textio import read_lines
 
 CONV_MODULE_KERNEL = 15
 FF_EXPANSION = 4
@@ -508,12 +509,7 @@ def load_model_config(path) -> ReneConfig:
     values: dict = {}
     kernels = {"trial_kernels_left": (), "trial_kernels_center": (),
                "trial_kernels_right": ()}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

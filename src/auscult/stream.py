@@ -118,8 +118,8 @@ class SessionConfig:
         if self.window_s + self.frame_unit_ms / 1000.0 > self.buffer_min * 60.0:
             raise InvalidInputError("window exceeds buffer length")
         units = self.window_s * 1000.0 / self.frame_unit_ms
-        if abs(units - round(units)) > 1e-9:
-            raise InvalidInputError("frame unit must divide the window")
+        if round(units) < 1 or abs(units - round(units)) > 1e-9:
+            raise InvalidInputError("window must be one or more whole frame units")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ so concurrent readers of the previous parameters stay valid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonFiniteError, TrainingDivergedError
 from .model import ReneConfig, init_rene, rene_apply, rene_grad
+from .textio import write_csv
 
 PT_FLOOR = 1e-12
 # step decay: the learning rate is multiplied by LR_DECAY_FACTOR every
@@ -196,11 +196,8 @@ def train_toy(dataset: LabeledDataset, model_cfg: ReneConfig, train_cfg: TrainCo
 
 
 def write_loss_trace(path, trace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "lr"])
-        for epoch, mean_loss, lr in trace:
-            writer.writerow([epoch, f"{mean_loss:.10g}", f"{lr:.10g}"])
+    write_csv(path, ["epoch", "mean_loss", "lr"],
+              ([epoch, f"{loss:.10g}", f"{lr:.10g}"] for epoch, loss, lr in trace))
 
 
 def training_accuracy(dataset: LabeledDataset, params, model_cfg: ReneConfig) -> float:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from auscult.cli import main
 from auscult.model import init_rene, preset_config, save_model_config
 from auscult.nn import flatten_params, load_params, save_params
-from auscult.training import TrainConfig, train_toy
+from auscult.training import TrainConfig, train_toy, write_loss_trace
 from test_data import make_corpus, manifest_bytes, write_wav
 from test_model import TINY, config_bytes
 
@@ -83,8 +83,9 @@ class TestExitCodes:
         (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["train", "--duration", "nan"], "positive, finite duration"),
         (["train", "--duration", "inf"], "positive, finite duration"),
+        (["train", "--duration", "1e12"], "cannot allocate a 1e+12 s clip"),
     ], ids=["cluster-k", "cluster-k-range", "smote", "train-seed", "train-nan",
-            "train-inf"])
+            "train-inf", "train-huge"])
     def test_negative_seed_or_non_finite_duration_exits_two(self, tmp_path, capsys,
                                                             argv, message):
         emr = make_emr(tmp_path / "emr.csv")
@@ -533,16 +534,20 @@ class TestStreamCommands:
         assert code == 2
         assert f"record payload truncated (at byte offset {len(raw)})" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [
-        ("replay", "--window-s"), ("replay", "--buffer-min"),
-        ("stream", "--rate-factor")])
+    # a window shorter than one 10 ms unit rounds to no samples at all
+    @pytest.mark.parametrize("command, flag, value", [
+        ("replay", "--window-s", "nan"), ("replay", "--buffer-min", "nan"),
+        ("stream", "--rate-factor", "nan"), ("replay", "--window-s", "1e-12"),
+        ("stream", "--window-s", "1e-12")],
+        ids=["replay---window-s", "replay---buffer-min", "stream---rate-factor",
+             "replay---window-s-tiny", "stream---window-s-tiny"])
     def test_non_finite_session_value_exits_two(self, tmp_path, model_files,
-                                                 command, flag):
+                                                 command, flag, value):
         params_path, config_path = model_files
         wav = make_wav(tmp_path / "long.wav", seconds=10.0)
         code = main([
             command, "--source", wav, "--model", params_path,
-            "--config", config_path, flag, "nan",
+            "--config", config_path, flag, value,
         ])
         assert code == 2
 
@@ -645,3 +650,131 @@ class TestStreamCommands:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 1
         assert "1 events, 0 overruns" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ CSV bytes
+
+# a label with a comma and quotes pins the quoting rule too
+PIN_EMR = ("age,bmi,fev1,diagnosis\n"
+           "30,20,3.1,asthma\n31,21,2.9,asthma\n33,20.5,3.3,asthma\n"
+           '70,30,2.2,"copd, ""late"""\n71,31,2,"copd, ""late"""\n'
+           '72,29,2.4,"copd, ""late"""\n74,30.5,1.9,"copd, ""late"""\n')
+PIN_CLUSTER = ["cluster", "--emr", "emr.csv", "--features", "age,bmi,fev1",
+               "--k", "2", "--out-json", "c.json"]
+PIN_GBDT = ["gbdt", "--train", "emr.csv", "--features", "age,bmi", "--rounds", "2"]
+PIN_ARGV = {
+    "correlate": ["correlate", "--emr", "emr.csv", "--features", "age,bmi,fev1",
+                  "--out", "out.csv"],
+    "cluster-summary": PIN_CLUSTER + ["--summary", "out.csv"],
+    "cluster-coords": PIN_CLUSTER + ["--coords", "out.csv"],
+    "smote": ["smote", "--emr", "emr.csv", "--features", "age,bmi",
+              "--k-neighbors", "2", "--out", "out.csv"],
+    "gbdt-importance": PIN_GBDT + ["--importance", "out.csv"],
+    "gbdt-predict": PIN_GBDT + ["--predict", "emr.csv", "--out", "out.csv"],
+    "fuse": ["fuse", "--rene", "rene.csv", "--gbdt", "gbdt.csv",
+             "--truth", "truth.csv", "--out", "out.csv"],
+    "eval": ["eval", "--manifest", "m.csv", "--scheme", "binary", "--out", "out.csv"],
+}
+
+
+def write_pin_output(case, params_path, config_path):
+    """Write the `case` writer's out.csv into the current directory."""
+    if case == "trace":
+        write_loss_trace("out.csv", [(0, 0.6931471805599453, 0.5), (1, 1 / 3, 0.05)])
+        return
+    Path("emr.csv").write_text(PIN_EMR)
+    Path("rene.csv").write_text("normal,crackle\n0.75,0.25\n0.5,0.5\n0.125,0.875\n")
+    Path("gbdt.csv").write_text("normal,crackle\n0.5,0.5\n0.25,0.75\n0,1\n")
+    Path("truth.csv").write_text("label\n0\n1\n1\n")
+    make_wav(Path("a.wav"), seconds=1.0, seed=1)
+    make_wav(Path("b.wav"), seconds=1.0, seed=2)
+    Path("m.csv").write_text("wav_path,annotation_path,patient_id,emr_key\n"
+                             "a.wav,label:0,p1,\nb.wav,label:1,p2,\n")
+    model = ["--params", params_path, "--config", config_path] if case == "eval" else []
+    assert main(PIN_ARGV[case] + model) == 0
+
+
+PIN_BYTES = {
+    "cluster-coords": (
+        b'age,bmi,fev1,cluster\r\n'
+        b'30,20,3.1,1\r\n'
+        b'31,21,2.9,1\r\n'
+        b'33,20.5,3.3,1\r\n'
+        b'70,30,2.2,0\r\n'
+        b'71,31,2,0\r\n'
+        b'72,29,2.4,0\r\n'
+        b'74,30.5,1.9,0\r\n'
+    ),
+    "cluster-summary": (
+        b'cluster,count,percentage,mean_age,mean_bmi,mean_fev1,mode_diagnosis\r\n'
+        b'0,4,57.142857142857146,71.75,30.125,2.125,"copd, ""late"""\r\n'
+        b'1,3,42.857142857142854,31.333333333333332,20.5,3.1,asthma\r\n'
+    ),
+    "correlate": (
+        b',age,bmi,fev1\r\n'
+        b'age,1,0.9902047582,-0.9355511989\r\n'
+        b'bmi,0.9902047582,1,-0.9642897528\r\n'
+        b'fev1,-0.9355511989,-0.9642897528,1\r\n'
+    ),
+    "eval": (
+        b'se,sp,as,hs,score\r\n'
+        b'0.000000,1.000000,0.500000,0.000000,0.250000\r\n'
+    ),
+    "fuse": (
+        b'alpha,se,sp,as,hs,score\r\n'
+        b'0.0,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.1,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.2,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.3,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.4,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.5,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.6,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.7,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.8,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'0.9,1.000000,1.000000,1.000000,1.000000,1.000000\r\n'
+        b'1.0,0.500000,1.000000,0.750000,0.666667,0.708333\r\n'
+    ),
+    "gbdt-importance": (
+        b'feature,gain\r\n'
+        b'age,11.45362317\r\n'
+        b'bmi,0\r\n'
+    ),
+    "gbdt-predict": (
+        b'asthma,"copd, ""late"""\r\n'
+        b'0.675696,0.324304\r\n'
+        b'0.675696,0.324304\r\n'
+        b'0.675696,0.324304\r\n'
+        b'0.324304,0.675696\r\n'
+        b'0.324304,0.675696\r\n'
+        b'0.324304,0.675696\r\n'
+        b'0.324304,0.675696\r\n'
+    ),
+    "smote": (
+        b'age,bmi,diagnosis\r\n'
+        b'30,20,asthma\r\n'
+        b'31,21,asthma\r\n'
+        b'33,20.5,asthma\r\n'
+        b'70,30,"copd, ""late"""\r\n'
+        b'71,31,"copd, ""late"""\r\n'
+        b'72,29,"copd, ""late"""\r\n'
+        b'74,30.5,"copd, ""late"""\r\n'
+        b'32.19063986,20.36510664,asthma\r\n'
+    ),
+    "trace": (
+        b'epoch,mean_loss,lr\r\n'
+        b'0,0.6931471806,0.5\r\n'
+        b'1,0.3333333333,0.05\r\n'
+    ),
+}
+
+
+class TestCsvBytes:
+    """Every CSV writer's exact bytes on a tiny table: the csv module's \\r\\n
+    line ends and each column's number format. The other tests parse the
+    files back, which would not notice a change of dialect."""
+
+    @pytest.mark.parametrize("case", sorted(PIN_BYTES))
+    def test_writer_bytes(self, tmp_path, monkeypatch, model_files, case):
+        monkeypatch.chdir(tmp_path)
+        write_pin_output(case, *model_files)
+        assert Path("out.csv").read_bytes() == PIN_BYTES[case]

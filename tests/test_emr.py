@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,18 @@ class TestSelectK:
         points = np.random.default_rng(0).standard_normal((6, 2))
         with pytest.raises(InvalidInputError):
             select_k(points, [2, 6])
+
+    def test_huge_range_rejected_before_it_is_built(self):
+        # the set of every k here alone would take tens of MiB
+        points = np.random.default_rng(0).standard_normal((50, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="within"):
+                select_k(points, range(2, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_model_equals_standalone_fit(self):
         points, _ = make_blobs([(0.0, 0.0), (8.0, 0.0), (4.0, 7.0)], 20, 1.2, seed=17)

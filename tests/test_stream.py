@@ -186,6 +186,9 @@ class TestSessionConfig:
         # 1.005 s is 100.5 of the 10 ms units
         with pytest.raises(InvalidInputError):
             SessionConfig(source=None, window_s=1.005)
+        # 1e-12 s is 1e-10 units, which rounds to a window of no samples
+        with pytest.raises(InvalidInputError):
+            SessionConfig(source=None, window_s=1e-12)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(InvalidInputError):

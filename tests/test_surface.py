@@ -1,5 +1,6 @@
 """Every module-level function and class in src/auscult has a caller outside
-the tests, and every settable value in it is set by one.
+the tests, every settable value in it is set by one, and one module owns
+the CSV dialect.
 
 A name counts as used when src/ or perfbench/ refers to it anywhere but in its
 own definition: as a name, an attribute, an import, or a string (perfbench
@@ -73,6 +74,18 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_exceptions_are_still_needed():
     # an exception that gained a caller, or lost its definition, leaves the list
     assert sorted(ACCEPTANCE_ONLY) == [n for n in _unused() if n in ACCEPTANCE_ONLY]
+
+
+def test_only_the_text_module_imports_csv():
+    # one module holds the CSV dialect and the ParseError for undecodable text
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.append(path.stem)
+    assert importers == ["textio"]
 
 
 # ------------------------------------------------------------- settable values
