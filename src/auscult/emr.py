@@ -22,6 +22,8 @@ from .textio import read_csv, write_csv
 EPS_HESSIAN = 1e-12
 KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 4
+# float64 elements in _sq_dists' difference buffer (1 MiB)
+SQ_DISTS_BUFFER = 2**17
 # a node with fewer rows than this becomes a leaf
 GBDT_MIN_SAMPLES = 2
 
@@ -220,17 +222,23 @@ class ClusterModel:
 
 
 def _sq_dists(a, b):
-    """(n, m) squared distances between the rows of a and b, summed one
-    feature at a time through one reused difference buffer. Never builds the
+    """(n, m) squared distances between the rows of a and b, filled a block
+    of SQ_DISTS_BUFFER // m rows at a time and summed one feature at a time
+    through one reused difference buffer of at most SQ_DISTS_BUFFER
+    elements, so a large (n, n) call holds one n x n array. Never builds the
     (n, m, d) difference cube; for d < 8 the sum is bit-for-bit NumPy's
     left-to-right sum over that cube's last axis (an array's `**2` is the
     same multiply as `diff *= diff`)."""
     out = np.zeros((a.shape[0], b.shape[0]))
-    diff = np.empty_like(out)
-    for f in range(a.shape[1]):
-        np.subtract(a[:, None, f], b[None, :, f], out=diff)
-        diff *= diff
-        out += diff
+    rows = max(1, SQ_DISTS_BUFFER // max(1, b.shape[0]))
+    buf = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for r in range(0, a.shape[0], rows):
+        block = out[r:r + rows]
+        diff = buf[:block.shape[0]]
+        for f in range(a.shape[1]):
+            np.subtract(a[r:r + rows, None, f], b[None, :, f], out=diff)
+            diff *= diff
+            block += diff
     return out
 
 
@@ -240,6 +248,12 @@ def _distance_matrix(points):
     return np.sqrt(dists, out=dists)
 
 
+def _check_dists(dists, n):
+    if np.shape(dists) != (n, n):
+        raise InvalidInputError(
+            f"distance matrix must be ({n}, {n}), got {np.shape(dists)}")
+
+
 def _check_points(points):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or not np.all(np.isfinite(points)):
@@ -247,22 +261,25 @@ def _check_points(points):
     return points
 
 
-def _kmeans_pp_init(points, k, rng):
+def _kmeans_pp_init(points, dists, k, rng):
     """Greedy k-means++ (Arthur & Vassilvitskii 2007): each centroid after
     the first is the best of 2 + floor(ln k) candidates drawn with weight D^2,
     the squared distance to the nearest centroid so far. The best candidate
-    leaves the smallest potential, the sum of D^2 over all points."""
+    leaves the smallest potential, the sum of D^2 over all points. Every D^2
+    is a squared row of `dists`, the points' (n, n) distance matrix."""
     n = points.shape[0]
     trials = 2 + int(np.log(k))
     first = rng.integers(n)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[first]
-    closest = _sq_dists(points[first:first + 1], points)[0]
+    if k == 1:
+        return centroids
+    closest = dists[first] ** 2
     for i in range(1, k):
         cum = np.cumsum(closest)
         drawn = np.searchsorted(cum, rng.random(trials) * cum[-1], side="right")
         candidates = np.minimum(drawn, n - 1)
-        d2 = np.minimum(closest, _sq_dists(points[candidates], points))
+        d2 = np.minimum(closest, dists[candidates] ** 2)
         best = d2.sum(axis=1).argmin()
         centroids[i] = points[candidates[best]]
         closest = d2[best]
@@ -277,17 +294,23 @@ def _lloyd_run(points, centroids):
     and the inertia come from exact squared distances.
     """
     n, k = points.shape[0], centroids.shape[0]
+    neg2_points = -2.0 * points  # a power-of-two scale, so exact
+    one_hot = np.eye(k)
+    members = np.empty((n, k))  # one_hot rows of the current assignments
     assignments = None
     for _ in range(KMEANS_MAX_ITER):
-        scores = (centroids * centroids).sum(axis=1) - 2.0 * (points @ centroids.T)
+        scores = neg2_points @ centroids.T
+        scores += (centroids * centroids).sum(axis=1)
         new_assign = scores.argmin(axis=1)
-        if assignments is not None and np.array_equal(new_assign, assignments):
+        if assignments is not None and not (new_assign != assignments).any():
             break
         assignments = new_assign
         counts = np.bincount(assignments, minlength=k)
-        sums = np.eye(k)[assignments].T @ points  # per-cluster row sums, (k, d)
+        # every assignment lies in [0, k), so "clip" skips the bounds check
+        np.take(one_hot, assignments, axis=0, out=members, mode="clip")
+        sums = members.T @ points  # per-cluster row sums, (k, d)
         filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
+        np.divide(sums, counts[:, None], out=centroids, where=filled[:, None])
         empty = np.flatnonzero(~filled)
         if empty.size:
             # Reseat emptied centroids at the worst-fit points.
@@ -301,18 +324,23 @@ def _lloyd_run(points, centroids):
 
 def kmeans_fit(points, k: int, seed: int = 0, dists=None) -> ClusterModel:
     """Best of KMEANS_RESTARTS greedy k-means++ / Lloyd runs by inertia.
-    `dists`, the points' (n, n) distance matrix, is handed on to
-    `silhouette`."""
+    `dists`, the points' (n, n) distance matrix, is built here when not
+    handed in (for k >= 2 only); the seeding reads its rows and `silhouette`
+    scores the best run from it."""
     points = _check_points(points)
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if dists is not None:
+        _check_dists(dists, n)
+    elif k >= 2:
+        dists = _distance_matrix(points)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_RESTARTS):
-        init = _kmeans_pp_init(points, k, rng)
+        init = _kmeans_pp_init(points, dists, k, rng)
         centroids, assignments, inertia = _lloyd_run(points, init)
         if best is None or inertia < best[2]:
             best = (centroids, assignments, inertia)
@@ -342,9 +370,8 @@ def silhouette(points, assignments, dists=None):
     n = points.shape[0]
     if dists is None:
         dists = _distance_matrix(points)
-    elif np.shape(dists) != (n, n):
-        raise InvalidInputError(
-            f"distance matrix must be ({n}, {n}), got {np.shape(dists)}")
+    else:
+        _check_dists(dists, n)
     clusters, own = np.unique(assignments, return_inverse=True)
     if len(clusters) < 2:
         raise InvalidInputError("silhouette needs at least two clusters")
@@ -367,7 +394,8 @@ def silhouette(points, assignments, dists=None):
 
 def select_k(points, k_range, seed: int = 0):
     """Fit every k; return (best_k, model) maximizing mean silhouette,
-    ties broken toward smaller k. One distance matrix serves every k."""
+    ties broken toward smaller k. One distance matrix serves every k's
+    seeding and silhouette."""
     points = _check_points(points)
     n = points.shape[0]
     ks = set()

@@ -30,7 +30,7 @@ from .model import rene_forward
 
 POLL_S = 0.0005
 # a consumer waiting on a live producer whose cursor has not moved for this
-# long (or two unit periods, at slow replay rates) gives up on it
+# long gives up on it
 STALL_S = 5.0
 
 
@@ -113,6 +113,11 @@ class SessionConfig:
         for name in ("window_s", "buffer_min", "rate_factor"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise InvalidInputError(f"{name} must be positive and finite")
+        # below this rate two frame-unit periods outlast STALL_S, so the
+        # stall guard could end a healthy recording
+        min_rate = 2.0 * self.frame_unit_ms / 1000.0 / STALL_S
+        if self.rate_factor < min_rate:
+            raise InvalidInputError(f"rate_factor must be >= {min_rate:g}")
         # one unit of slack: a window the full buffer long could never pass
         # the snapshot stability check once the writer wraps
         if self.window_s + self.frame_unit_ms / 1000.0 > self.buffer_min * 60.0:
@@ -218,7 +223,6 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
     events = []
     warnings = []
     m = 1
-    stall_s = max(STALL_S, 2.0 * unit_wall_s)
     while m <= total_windows:
         seen, seen_at = ring.write_cursor, time.perf_counter()
         while ring.write_cursor < m * window:
@@ -231,10 +235,10 @@ def run_session(cfg: SessionConfig, params, model_cfg, labels=None):
             now = time.perf_counter()
             if ring.write_cursor != seen:
                 seen, seen_at = ring.write_cursor, now
-            elif now - seen_at > stall_s:
+            elif now - seen_at > STALL_S:
                 raise ProducerError(
                     f"recording stalled at sample {seen} of {n_units * unit}: "
-                    f"no audio for {stall_s:g} s"
+                    f"no audio for {STALL_S:g} s"
                 )
             time.sleep(POLL_S)
         try:

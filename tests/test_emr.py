@@ -241,7 +241,8 @@ class TestKmeans:
         rng = np.random.default_rng(7)
         points = rng.standard_normal((60, 2))
         # the first of kmeans_fit's restarts is this single seeded run
-        init = emr._kmeans_pp_init(points, 4, np.random.default_rng(0))
+        init = emr._kmeans_pp_init(points, emr._distance_matrix(points), 4,
+                                    np.random.default_rng(0))
         _, _, single = emr._lloyd_run(points, init)
         multi = kmeans_fit(points, k=4, seed=0)
         assert multi.inertia <= single + 1e-9
@@ -287,6 +288,50 @@ class TestKmeans:
         for c in range(4):
             np.testing.assert_allclose(centroids[c], points[assignments == c].mean(axis=0),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 39), (39, 40)])
+    def test_wrong_shape_matrix_rejected_before_seeding(self, shape):
+        points = np.random.default_rng(19).standard_normal((40, 2))
+        with pytest.raises(InvalidInputError, match="distance matrix"):
+            kmeans_fit(points, k=3, dists=np.zeros(shape))
+
+    def test_distance_matrix_holds_one_n_by_n_array(self):
+        points = np.random.default_rng(20).standard_normal((920, 4))
+        tracemalloc.start()
+        try:
+            emr._distance_matrix(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 920 * 920 * 8
+
+    def test_single_cluster_builds_no_distance_matrix(self):
+        points = np.random.default_rng(21).standard_normal((3000, 4))
+        tracemalloc.start()
+        try:
+            kmeans_fit(points, k=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the matrix alone would be 69 MiB
+
+    def test_lloyd_run_keeps_the_reference_arithmetic(self):
+        rng = np.random.default_rng(22)
+        for table in range(200):
+            n, d = int(rng.integers(6, 60)), int(rng.integers(1, 6))
+            k = int(rng.integers(3, min(7, n) + 1))
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3)
+            if table % 3 == 0:
+                points = np.round(points)  # repeated rows and tied scores
+            init = points[rng.choice(n, size=k, replace=False)]
+            if table % 4 == 0:
+                # no row is nearest to the two far centroids: both empty at once
+                init[-2:] = [[1e6] * d, [-1e6] * d]
+            fast = emr._lloyd_run(points, init.copy())
+            ref = reference_lloyd_run(points, init.copy())
+            assert np.array_equal(fast[0], ref[0])
+            assert np.array_equal(fast[1], ref[1])
+            assert fast[2] == ref[2]
 
 
 class TestSilhouette:
@@ -419,12 +464,14 @@ class TestSelectK:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("kmeans_fit", "silhouette", "_distance_matrix"):
+        for name in ("kmeans_fit", "silhouette", "_distance_matrix", "_sq_dists"):
             monkeypatch.setattr(emr, name, counting(name))
         points, _ = make_blobs([(0.0, 0.0), (8.0, 0.0)], 20, 0.5, seed=18)
         emr.select_k(points, range(2, 7), seed=0)
         assert calls.count("_distance_matrix") == 1
         assert calls.count("kmeans_fit") == calls.count("silhouette") == 5
+        # the shared matrix, then each restart's exact final distances
+        assert calls.count("_sq_dists") == 1 + 5 * emr.KMEANS_RESTARTS
 
     def test_recovers_planted_small_cluster(self):
         # plain k-means++ seeding, one D^2 draw per centroid, missed the
@@ -824,6 +871,30 @@ def icbhi_shaped_table(seed):
 
 def cube_sq_dists(a, b):
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_lloyd_run(points, centroids):
+    """Lloyd's loop as first written: |c|^2 - 2 x.c scores, one-hot cluster
+    sums, division over the filled centroids only, emptied ones reseated."""
+    n, k = points.shape[0], centroids.shape[0]
+    assignments = None
+    for _ in range(emr.KMEANS_MAX_ITER):
+        scores = (centroids * centroids).sum(axis=1) - 2.0 * (points @ centroids.T)
+        new_assign = scores.argmin(axis=1)
+        if assignments is not None and np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.eye(k)[assignments].T @ points
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            misfit = ((points - centroids[assignments]) ** 2).sum(axis=1)
+            centroids[empty] = points[np.argsort(misfit)[::-1][:empty.size]]
+    d2 = cube_sq_dists(points, centroids)
+    assignments = d2.argmin(axis=1)
+    return centroids, assignments, float(d2[np.arange(n), assignments].sum())
 
 
 class TestKernelExactness:

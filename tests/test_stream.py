@@ -194,6 +194,13 @@ class TestSessionConfig:
         with pytest.raises(InvalidInputError):
             SessionConfig(source=None, rate_factor=0.0)
 
+    def test_rate_too_slow_for_the_stall_guard_rejected(self):
+        # at 0.004 x real time a 10 ms unit arrives every 2.5 s, and two of
+        # those periods fill STALL_S
+        with pytest.raises(InvalidInputError, match="rate_factor"):
+            SessionConfig(source=None, rate_factor=0.0039)
+        SessionConfig(source=None, rate_factor=0.004)
+
     @pytest.mark.parametrize("field", ["window_s", "buffer_min", "rate_factor"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_rejected(self, field, value):
