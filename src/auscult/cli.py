@@ -13,6 +13,7 @@ import numpy as np
 
 from . import emr as emr_mod
 from .data import (
+    LABEL_SCHEMES,
     TARGET_SAMPLE_RATE,
     build_event_dataset,
     load_manifest,
@@ -51,11 +52,6 @@ from .stream import (
 )
 from .textio import write_csv
 from .training import TrainConfig, train_toy, training_accuracy, write_loss_trace
-
-SCHEME_LABELS = {
-    "cw4": ("normal", "crackle", "wheeze", "both"),
-    "binary": ("normal", "adventitious"),
-}
 
 
 def _features_list(text: str):
@@ -129,7 +125,7 @@ def cmd_eval(args):
     params, model_cfg = _load_model(args.params, args.config)
     dataset = build_event_dataset(load_manifest(args.manifest),
                                   label_scheme=args.scheme)
-    n_scheme = len(SCHEME_LABELS[args.scheme])
+    n_scheme = LABEL_SCHEMES[args.scheme][0]
     if model_cfg.n_classes != n_scheme:
         raise InvalidInputError(f"model has {model_cfg.n_classes} classes, scheme "
                                 f"{args.scheme!r} has {n_scheme}")
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the toy model")
     p.add_argument("--manifest")
-    p.add_argument("--scheme", choices=("cw4", "binary"), default="cw4")
+    p.add_argument("--scheme", choices=LABEL_SCHEMES, default="cw4")
     p.add_argument("--clips", type=int, default=60)
     p.add_argument("--duration", type=float, default=2.0)
     p.add_argument("--out", required=True)
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--scheme", choices=("cw4", "binary"), default="cw4")
+    p.add_argument("--scheme", choices=LABEL_SCHEMES, default="cw4")
     p.add_argument("--normal-class", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_eval)

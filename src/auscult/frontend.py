@@ -73,8 +73,7 @@ def _ms_to_samples(ms: float, sample_rate: int) -> int:
 class LogMelSpectrogram:
     """Time x n_mels matrix of normalized log-mel energies."""
 
-    frames: np.ndarray       # (T, n_mels)
-    frame_times: np.ndarray  # (T,) start time of each frame, seconds
+    frames: np.ndarray  # (T, n_mels)
 
     @property
     def n_frames(self) -> int:
@@ -83,14 +82,6 @@ class LogMelSpectrogram:
     @property
     def n_mels(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters, one row per mel channel, over FFT bin frequencies."""
-
-    weights: np.ndarray          # (n_mels, n_fft // 2 + 1)
-    center_freqs_hz: np.ndarray  # (n_mels,)
 
 
 def preemphasize(signal: AudioSignal) -> AudioSignal:
@@ -169,8 +160,9 @@ def mel_to_hz(mel) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def build_mel_filterbank(sample_rate: int) -> MelFilterbank:
-    """Triangular filters with centers equally spaced on the mel scale.
+def build_mel_filterbank(sample_rate: int) -> np.ndarray:
+    """(n_mels, n_fft // 2 + 1) weights: one triangular filter per mel
+    channel over the FFT bin frequencies, centers equally spaced in mel.
 
     Adjacent triangles share band edges, so they cross at half height. All
     support lies within [f_min_hz, f_max_hz].
@@ -194,7 +186,7 @@ def build_mel_filterbank(sample_rate: int) -> MelFilterbank:
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return MelFilterbank(weights=weights, center_freqs_hz=hz_pts[1:-1])
+    return weights
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,8 +194,7 @@ def _mel_projection(sample_rate: int):
     """(window, weights.T) for one sample rate, built on first use and
     shared read-only by every later call at that rate."""
     window = hamming_window(_ms_to_samples(FrontendConfig.win_ms, sample_rate))
-    fb = build_mel_filterbank(sample_rate)
-    weights_t = np.ascontiguousarray(fb.weights.T)
+    weights_t = np.ascontiguousarray(build_mel_filterbank(sample_rate).T)
     window.flags.writeable = False
     weights_t.flags.writeable = False
     return window, weights_t
@@ -236,10 +227,7 @@ def log_mel_spectrogram(signal: AudioSignal,
         scaled = np.zeros_like(log_mel)
     else:
         scaled = 2.0 * (log_mel - lo) / (hi - lo) - 1.0
-
-    hop = _ms_to_samples(FrontendConfig.hop_ms, sr)
-    times = np.arange(frames.shape[0]) * hop / sr
-    return LogMelSpectrogram(frames=scaled, frame_times=times)
+    return LogMelSpectrogram(frames=scaled)
 
 
 def _dct_ii_matrix(n: int) -> np.ndarray:

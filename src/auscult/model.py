@@ -10,7 +10,9 @@ trial branches) is a list of `nn` kernel steps run by one chain runner:
 `_chain_forward` records a tape and `_chain_backward` walks it in reverse.
 A step may nest a chain as a scaled residual, so the encoder and Conformer
 block stacks run on the same runner. Only the encoder's positional add, the
-trial head's merge and pool, and the BiGRU are written out by hand.
+trial head's merge and pool, and the BiGRU are written out by hand. The
+BiGRU returns its final state only, which folds into the trial head's square
+feature map.
 
 `rene_apply` with its default `cache=True` returns the tapes the backward
 pass (`rene_grad`) reads; with `cache=False`, as every inference caller uses
@@ -375,14 +377,8 @@ def conformer_encoder_forward(x, params, cfg: ReneConfig) -> np.ndarray:
 
 def bigru_decode(seq, params, cfg: ReneConfig) -> np.ndarray:
     """Final BiGRU state (both directions) reshaped to a 2D feature map."""
-    fmap, _final, _cache = _decode_apply(np.asarray(seq), params, cache=False)
-    return fmap
-
-
-def _decode_apply(seq, params, cache=True):
-    _ys, final, c_bg = nn.bigru_forward(seq, params["bigru"])
-    rows, cols = most_square_factorization(final.shape[0])
-    return final.reshape(rows, cols), final, (c_bg if cache else None)
+    final, _cache = nn.bigru_forward(seq, **params["bigru"])
+    return final.reshape(most_square_factorization(final.shape[0]))
 
 
 # ---------------------------------------------------------------- trial block
@@ -390,7 +386,7 @@ def _decode_apply(seq, params, cache=True):
 def _trial_apply(fmap, params, cfg, cache=True):
     rows, cols = fmap.shape
     left_k, _, right_k = cfg.trial_kernel_sizes
-    k_max = max([*left_k, *right_k], default=1)
+    k_max = max(*left_k, *right_k)
     if min(rows, cols) < k_max:
         raise TooShortError(
             f"feature map {rows}x{cols} smaller than largest kernel {k_max}"
@@ -399,9 +395,8 @@ def _trial_apply(fmap, params, cfg, cache=True):
     x = fmap[:, :, None]
     left, c_left = _chain_forward(x, _branch_steps("left", left_k), tp, cache)
     right, c_right = _chain_forward(x, _branch_steps("right", right_k), tp, cache)
-    center = np.repeat(x, cfg.trial_channels, axis=2)
-    merged = left + right + center
-    pooled = merged.mean(axis=(0, 1))
+    # the identity branch joins by broadcasting its one channel over all C
+    pooled = (left + right + x).mean(axis=(0, 1))
     logits, c_head = nn.linear_forward(pooled, tp["head"]["w"], tp["head"]["b"])
     return logits, ((c_left, c_right, fmap.shape, c_head) if cache else None)
 
@@ -437,7 +432,10 @@ def rene_apply(frames, params, cfg: ReneConfig, cache=True):
     enc, c_enc = _encoder_apply(np.asarray(frames, dtype=np.float64), params, cfg,
                                 cache)
     conf, c_conf = _conformer_apply(enc, params, cfg, cache)
-    fmap, final, c_bg = _decode_apply(conf, params, cache)
+    final, c_bg = nn.bigru_forward(conf, **params["bigru"])
+    if not cache:  # a decode keeps no GRU states past the step that made them
+        c_bg = None
+    fmap = final.reshape(most_square_factorization(final.shape[0]))
     logits, c_trial = _trial_apply(fmap, params, cfg, cache)
     out = ReneOutput(probs=nn.softmax(logits), logits=logits, embedding=final)
     return out, ((c_enc, c_conf, c_bg, c_trial) if cache else None)
@@ -447,7 +445,7 @@ def rene_grad(dlogits, cache, params, cfg: ReneConfig) -> dict:
     """Backward from a logits gradient to the full parameter-gradient tree."""
     (c_stem, c_body), c_conf, c_bg, c_trial = cache
     dfmap, g_trial = _trial_backward(dlogits, c_trial, cfg)
-    dseq, g_bigru = nn.bigru_backward(None, dfmap.reshape(-1), c_bg, params["bigru"])
+    dseq, g_bigru = nn.bigru_backward(dfmap.reshape(-1), c_bg)
     denc, g_conf = _chain_backward(dseq, c_conf)
     dh, g_body = _chain_backward(denc, c_body)  # the positional add passes dh on
     _dx, g_stem = _chain_backward(dh, c_stem)
@@ -492,23 +490,21 @@ _INT_FIELDS = (
     "conformer_layers", "conformer_dim", "conformer_heads",
     "bigru_hidden", "n_classes", "trial_channels",
 )
+# one comma-separated list per trial branch, in (left, center, right) order
+_KERNEL_FIELDS = ("trial_kernels_left", "trial_kernels_center", "trial_kernels_right")
 
 
 def save_model_config(path, cfg: ReneConfig) -> None:
     """Flat key=value text document; kernel lists are comma-separated."""
-    left, center, right = cfg.trial_kernel_sizes
     lines = [f"{name}={getattr(cfg, name)}" for name in _INT_FIELDS]
-    lines.append("trial_kernels_left=" + ",".join(map(str, left)))
-    lines.append("trial_kernels_center=" + ",".join(map(str, center)))
-    lines.append("trial_kernels_right=" + ",".join(map(str, right)))
+    lines += [f"{name}=" + ",".join(map(str, kernels))
+              for name, kernels in zip(_KERNEL_FIELDS, cfg.trial_kernel_sizes)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model_config(path) -> ReneConfig:
     values: dict = {}
-    kernels = {"trial_kernels_left": (), "trial_kernels_center": (),
-               "trial_kernels_right": ()}
     for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -517,9 +513,11 @@ def load_model_config(path) -> ReneConfig:
             raise ParseError("expected key=value", line=line_no)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in kernels:
+        if key in values:
+            raise ParseError(f"config key {key!r} repeats", line=line_no)
+        if key in _KERNEL_FIELDS:
             try:
-                kernels[key] = tuple(
+                values[key] = tuple(
                     int(tok) for tok in value.split(",") if tok.strip()
                 )
             except ValueError:
@@ -534,9 +532,5 @@ def load_model_config(path) -> ReneConfig:
     missing = [k for k in _INT_FIELDS if k not in values]
     if missing:
         raise ParseError(f"missing config keys: {', '.join(missing)}")
-    return ReneConfig(
-        trial_kernel_sizes=(kernels["trial_kernels_left"],
-                            kernels["trial_kernels_center"],
-                            kernels["trial_kernels_right"]),
-        **values,
-    )
+    kernels = tuple(values.pop(name, ()) for name in _KERNEL_FIELDS)
+    return ReneConfig(trial_kernel_sizes=kernels, **values)

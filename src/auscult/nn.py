@@ -1,10 +1,11 @@
 """Functional layer primitives with hand-derived parameter gradients.
 
-Convention: ``*_forward`` returns ``(y, cache)`` and ``*_backward`` takes
-``(dy, cache)`` and returns the input gradient, followed by a dict of
-parameter gradients shaped exactly like the parameters. There is no autodiff
-graph; these primitives are the whole differentiable surface. Parameter sets
-are plain dicts of numpy arrays, treated as immutable once built.
+Every kernel, the GRU and BiGRU included, follows one convention:
+``*_forward`` returns ``(y, cache)`` and ``*_backward`` takes ``(dy, cache)``
+and returns the input gradient, followed, when the kernel has parameters, by
+a dict of gradients shaped exactly like them. There is no autodiff graph;
+these primitives are the whole differentiable surface. Parameter sets are
+plain dicts of numpy arrays, treated as immutable once built.
 
 Leaves may be float32 (`load_params` keeps a record's stored width) or
 float64; the arithmetic is float64 either way. Each kernel meets a weight with
@@ -73,11 +74,6 @@ def gelu_backward(dy, cache):
     np.add(half, dx, out=dx)
     dx *= dy
     return dx
-
-
-def gelu(x):
-    """Elementwise GELU, tanh approximation."""
-    return gelu_forward(x)[0]
 
 
 def sigmoid(x):
@@ -347,16 +343,16 @@ def _gru_stack(params, prefix):
                           dtype=np.float64)
 
 
-def gru_sequence_forward(xs, params, h0=None):
-    """GRU over a (T, D) sequence: z and r gates, candidate n, and
-    h_t = (1 - z) * n + z * h_prev. The input projections of every step are
-    one product; each step makes one h @ [Uz|Ur|Un] product."""
+def gru_sequence_forward(xs, params):
+    """GRU over a (T, D) sequence from a zero state: z and r gates, candidate
+    n, and h_t = (1 - z) * n + z * h_prev; returns the final state h_T. The
+    input projections of every step are one product; each step makes one
+    h @ [Uz|Ur|Un] product."""
     t = xs.shape[0]
     hidden = params["bz"].shape[0]
     ax = xs @ _gru_stack(params, "w") + _gru_stack(params, "b")   # (T, 3H)
     u = _gru_stack(params, "u")
-    hs = np.empty((t + 1, hidden))          # hs[i] is the state before step i
-    hs[0] = 0.0 if h0 is None else h0
+    hs = np.zeros((t + 1, hidden))          # hs[i] is the state before step i
     zr = np.empty((t, 2 * hidden))
     n = np.empty((t, hidden))
     hn = np.empty((t, hidden))
@@ -366,11 +362,11 @@ def gru_sequence_forward(xs, params, h0=None):
         hn[i] = hu[2 * hidden :]
         n[i] = np.tanh(ax[i, 2 * hidden :] + zr[i, hidden:] * hn[i])
         hs[i + 1] = n[i] + zr[i, :hidden] * (hs[i] - n[i])
-    return hs[1:], hs[t].copy(), (xs, hs, zr, n, hn)
+    return hs[t].copy(), (xs, hs, zr, n, hn, params)
 
 
-def gru_sequence_backward(dhs, dh_final, cache, params):
-    xs, hs, zr, n, hn = cache
+def gru_sequence_backward(dy, cache):
+    xs, hs, zr, n, hn, params = cache
     t, hidden = n.shape
     h_prev = hs[:-1]
     z, r = zr[:, :hidden], zr[:, hidden:]
@@ -382,10 +378,8 @@ def gru_sequence_backward(dhs, dh_final, cache, params):
     g_u = np.stack([g_z, g_r, g_n * r], axis=1)           # (T, 3, H)
     u_t = _gru_stack(params, "u").T
     dh_steps = np.empty((t, hidden))
-    dh = np.array(dh_final, dtype=np.float64)
+    dh = np.array(dy, dtype=np.float64)
     for i in reversed(range(t)):
-        if dhs is not None:
-            dh = dh + dhs[i]
         dh_steps[i] = dh
         dh = dh * z[i] + (g_u[i] * dh).reshape(-1) @ u_t
     d_u = (g_u * dh_steps[:, None, :]).reshape(t, 3 * hidden)
@@ -400,32 +394,25 @@ def gru_sequence_backward(dhs, dh_final, cache, params):
         cols = slice(j * hidden, (j + 1) * hidden)
         grads["w" + g], grads["u" + g] = d_w[:, cols], d_uw[:, cols]
         grads["b" + g] = d_b[cols]
-    return dxs, grads, dh
+    return dxs, grads
 
 
-def bigru_forward(xs, params):
-    """Run both directions; outputs (T, 2H), final state concat(fwd h_T, bwd h_1)."""
+def bigru_forward(xs, fwd, bwd):
+    """Run both directions over a (T, D) sequence; the output is the final
+    state concat(fwd h_T, bwd h_1)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise InvalidInputError("bigru needs a non-empty (T, D) sequence")
-    hs_f, hf, cache_f = gru_sequence_forward(xs, params["fwd"])
-    hs_b, hb, cache_b = gru_sequence_forward(xs[::-1], params["bwd"])
-    ys = np.concatenate([hs_f, hs_b[::-1]], axis=1)
-    final = np.concatenate([hf, hb])
-    return ys, final, (cache_f, cache_b, xs.shape)
+    hf, cache_f = gru_sequence_forward(xs, fwd)
+    hb, cache_b = gru_sequence_forward(xs[::-1], bwd)
+    return np.concatenate([hf, hb]), (cache_f, cache_b)
 
 
-def bigru_backward(dys, dfinal, cache, params):
-    cache_f, cache_b, x_shape = cache
-    hidden = len(dfinal) // 2
-    dhs_f = None if dys is None else dys[:, :hidden]
-    dhs_b = None if dys is None else dys[:, hidden:][::-1]
-    dxs_f, grads_f, _ = gru_sequence_backward(
-        dhs_f, dfinal[:hidden], cache_f, params["fwd"]
-    )
-    dxs_b, grads_b, _ = gru_sequence_backward(
-        dhs_b, dfinal[hidden:], cache_b, params["bwd"]
-    )
+def bigru_backward(dy, cache):
+    cache_f, cache_b = cache
+    hidden = len(dy) // 2
+    dxs_f, grads_f = gru_sequence_backward(dy[:hidden], cache_f)
+    dxs_b, grads_b = gru_sequence_backward(dy[hidden:], cache_b)
     return dxs_f + dxs_b[::-1], {"fwd": grads_f, "bwd": grads_b}
 
 

@@ -580,6 +580,16 @@ class TestStreamCommands:
         assert self._replay(tmp_path, params_path, edited) == 2
         assert f"parameter {leaf}:" in capsys.readouterr().err
 
+    def test_replay_repeated_config_key_exits_two(self, tmp_path, model_files,
+                                                  capsys):
+        # the file's own whisper_layers comes second, so a last-wins reader
+        # would load a config that matches the parameters
+        params_path, config_path = model_files
+        edited = tmp_path / "edited.cfg"
+        edited.write_text("whisper_layers=3\n" + Path(config_path).read_text())
+        assert self._replay(tmp_path, params_path, edited) == 2
+        assert "config key 'whisper_layers' repeats (line 2)" in capsys.readouterr().err
+
     def test_replay_oversized_config_exits_two(self, tmp_path, model_files, capsys):
         # the shapes-only tree of this config would allocate 29.1 TiB of biases
         params_path, config_path = model_files

@@ -112,8 +112,9 @@ class TestEncoder:
 
         p = params["encoder"]
         h1, _ = nn.conv1d_forward(frames, p["conv1"]["w"], p["conv1"]["b"], 1, 1)
-        h2, _ = nn.conv1d_forward(nn.gelu(h1), p["conv2"]["w"], p["conv2"]["b"], 2, 1)
-        h = nn.gelu(h2) + nn.sinusoidal_positional_embedding(20, 64)
+        g1, _ = nn.gelu_forward(h1)
+        h2, _ = nn.conv1d_forward(g1, p["conv2"]["w"], p["conv2"]["b"], 2, 1)
+        h = nn.gelu_forward(h2)[0] + nn.sinusoidal_positional_embedding(20, 64)
         expected, _ = nn.layer_norm_forward(
             h, p["ln_final"]["gain"], p["ln_final"]["bias"]
         )
@@ -270,7 +271,7 @@ class TestBigruDecode:
         rng = np.random.default_rng(20)
         seq = rng.standard_normal((7, 64))
         fmap = model.bigru_decode(seq, params, cfg)
-        _, final, _ = nn.bigru_forward(seq, params["bigru"])
+        final, _ = nn.bigru_forward(seq, **params["bigru"])
         np.testing.assert_array_equal(fmap.reshape(-1), final)
 
 
@@ -719,6 +720,18 @@ class TestConfigIo:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("n_classes")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
+            model.load_model_config(path)
+
+    @pytest.mark.parametrize("line", ["whisper_layers=3", "whisper_layers=2",
+                                      "trial_kernels_center="])
+    def test_repeated_key_rejected(self, tmp_path, line):
+        # a second value, even an equal one, is refused rather than winning
+        path = tmp_path / "bad.cfg"
+        model.save_model_config(path, model.preset_config("toy"))
+        path.write_text(path.read_text() + line + "\n")
+        key = line.split("=")[0]
+        with pytest.raises(ParseError,
+                           match=rf"config key '{key}' repeats \(line 13\)"):
             model.load_model_config(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import struct
@@ -13,17 +14,21 @@ from auscult import nn
 from auscult.errors import FormatError, InvalidInputError
 
 
+def gelu(x):
+    return nn.gelu_forward(x)[0]
+
+
 class TestGelu:
     def test_fixed_points(self):
-        assert nn.gelu(np.array([0.0]))[0] == 0.0
-        assert nn.gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-4)
-        assert nn.gelu(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-4)
+        assert gelu(np.array([0.0]))[0] == 0.0
+        assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-4)
+        assert gelu(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_matches_tanh_formula(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(100)
         expected = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
-        np.testing.assert_allclose(nn.gelu(x), expected, atol=1e-12)
+        np.testing.assert_allclose(gelu(x), expected, atol=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(1)
@@ -31,7 +36,7 @@ class TestGelu:
         cy = rng.standard_normal(20)
         y, cache = nn.gelu_forward(x)
         dx = nn.gelu_backward(cy, cache)
-        err = nn.grad_check(lambda: float(np.sum(nn.gelu(x) * cy)), {"x": x}, {"x": dx})
+        err = nn.grad_check(lambda: float(np.sum(gelu(x) * cy)), {"x": x}, {"x": dx})
         assert err <= 1e-4
 
     def test_in_place_kernel_matches_expression_and_keeps_input(self):
@@ -533,33 +538,53 @@ class TestAttention:
         assert err <= 1e-4
 
 
-class TestGru:
-    @staticmethod
-    def _step(x, h, p):
-        """One GRU update as a length-1 sequence started from state h."""
-        return nn.gru_sequence_forward(x[None], p, h0=h)[1]
+def gru_oracle_states(xs, p):
+    """Every state h_1..h_T of the GRU equations, step by step from zero."""
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
 
+    h = np.zeros(p["bz"].shape[0])
+    states = []
+    for x in xs:
+        z = sig(x @ p["wz"] + h @ p["uz"] + p["bz"])
+        r = sig(x @ p["wr"] + h @ p["ur"] + p["br"])
+        n = np.tanh(x @ p["wn"] + r * (h @ p["un"]) + p["bn"])
+        h = (1.0 - z) * n + z * h
+        states.append(h)
+    return np.array(states)
+
+
+def prefix_finals(xs, p):
+    """The state after each step, as the final states of the prefixes."""
+    return np.array([nn.gru_sequence_forward(xs[: i + 1], p)[0]
+                     for i in range(len(xs))])
+
+
+class TestGru:
     def test_zero_params_halve_state(self):
+        # with zero weights z = 1/2, so a constant candidate tanh(bn) is
+        # approached by halving the gap: h_t = tanh(bn) * (1 - 2^-t)
         rng = np.random.default_rng(23)
         p = {k: np.zeros_like(v) for k, v in nn.init_gru(rng, 3, 5).items()}
-        h = rng.standard_normal(5)
-        x = rng.standard_normal(3)
-        np.testing.assert_allclose(self._step(x, h, p), 0.5 * h, atol=1e-12)
+        p["bn"] = rng.standard_normal(5)
+        states = prefix_finals(rng.standard_normal((6, 3)), p)
+        for t, h in enumerate(states, start=1):
+            np.testing.assert_allclose(h, np.tanh(p["bn"]) * (1 - 0.5**t),
+                                       rtol=0, atol=1e-12)
 
     def test_zero_params_zero_state(self):
         rng = np.random.default_rng(24)
         p = {k: np.zeros_like(v) for k, v in nn.init_gru(rng, 3, 5).items()}
-        np.testing.assert_array_equal(
-            self._step(rng.standard_normal(3), np.zeros(5), p), np.zeros(5)
-        )
+        h, _ = nn.gru_sequence_forward(rng.standard_normal((4, 3)), p)
+        np.testing.assert_array_equal(h, np.zeros(5))
 
     def test_state_stays_bounded(self):
         rng = np.random.default_rng(25)
         p = nn.init_gru(rng, 4, 6)
-        h = rng.uniform(-0.99, 0.99, 6)
-        for _ in range(50):
-            h = self._step(rng.standard_normal(4), h, p)
-            assert np.all(np.abs(h) < 1.0)
+        for name in ("bz", "br", "bn"):
+            p[name] = 3.0 * rng.standard_normal(6)
+        states = prefix_finals(3.0 * rng.standard_normal((50, 4)), p)
+        assert np.all(np.abs(states) < 1.0)
 
     def test_cell_gradients(self):
         rng = np.random.default_rng(26)
@@ -568,11 +593,11 @@ class TestGru:
         cy = rng.standard_normal(4)
 
         def loss():
-            _, final, _ = nn.gru_sequence_forward(xs, p)
+            final, _ = nn.gru_sequence_forward(xs, p)
             return float(np.sum(final * cy))
 
-        _, _, caches = nn.gru_sequence_forward(xs, p)
-        dxs, grads, _ = nn.gru_sequence_backward(None, cy, caches, p)
+        _, cache = nn.gru_sequence_forward(xs, p)
+        dxs, grads = nn.gru_sequence_backward(cy, cache)
         flat_p = {**p, "x": xs}
         flat_g = {**grads, "x": dxs}
         assert nn.grad_check(loss, flat_p, flat_g) <= 1e-4
@@ -583,51 +608,34 @@ class TestGru:
         for name in ("bz", "br", "bn"):
             p[name] = rng.standard_normal(5)
         xs = rng.standard_normal((7, 3))
-        h0 = rng.uniform(-0.9, 0.9, 5)
-        hs, final, _ = nn.gru_sequence_forward(xs, p, h0=h0)
-
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-
-        h = h0
-        for i, x in enumerate(xs):
-            z = sig(x @ p["wz"] + h @ p["uz"] + p["bz"])
-            r = sig(x @ p["wr"] + h @ p["ur"] + p["br"])
-            n = np.tanh(x @ p["wn"] + r * (h @ p["un"]) + p["bn"])
-            h = (1.0 - z) * n + z * h
-            np.testing.assert_allclose(hs[i], h, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(final, h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefix_finals(xs, p), gru_oracle_states(xs, p),
+                                   rtol=0, atol=1e-12)
 
     def test_float32_params_equal_their_float64_widening(self):
         rng = np.random.default_rng(45)
         p32 = {k: v.astype(np.float32) for k, v in nn.init_gru(rng, 6, 9).items()}
         p64 = {k: v.astype(np.float64) for k, v in p32.items()}
         xs = rng.standard_normal((11, 6))
-        h0 = rng.uniform(-0.9, 0.9, 9)
-        hs32, final32, _ = nn.gru_sequence_forward(xs, p32, h0=h0)
-        hs64, final64, _ = nn.gru_sequence_forward(xs, p64, h0=h0)
-        assert hs32.dtype == final32.dtype == np.float64
-        assert np.array_equal(hs32, hs64)
-        assert np.array_equal(final32, final64)
+        states32, states64 = prefix_finals(xs, p32), prefix_finals(xs, p64)
+        assert states32.dtype == np.float64
+        assert np.array_equal(states32, states64)
 
-    def test_sequence_gradients_with_state_and_step_losses(self):
+    def test_sequence_gradients(self):
         rng = np.random.default_rng(45)
         p = nn.init_gru(rng, 3, 4)
         for name in ("bz", "br", "bn"):
             p[name] = rng.standard_normal(4)
         xs = rng.standard_normal((6, 3))
-        h0 = rng.uniform(-0.9, 0.9, 4)
-        cys = rng.standard_normal((6, 4))
-        cf = rng.standard_normal(4)
+        cy = rng.standard_normal(4)
 
         def loss():
-            hs, final, _ = nn.gru_sequence_forward(xs, p, h0=h0)
-            return float(np.sum(hs * cys) + np.sum(final * cf))
+            final, _ = nn.gru_sequence_forward(xs, p)
+            return float(np.sum(final * cy))
 
-        _, _, cache = nn.gru_sequence_forward(xs, p, h0=h0)
-        dxs, grads, dh0 = nn.gru_sequence_backward(cys, cf, cache, p)
-        flat_p = {**p, "x": xs, "h0": h0}
-        flat_g = {**grads, "x": dxs, "h0": dh0}
+        _, cache = nn.gru_sequence_forward(xs, p)
+        dxs, grads = nn.gru_sequence_backward(cy, cache)
+        flat_p = {**p, "x": xs}
+        flat_g = {**grads, "x": dxs}
         assert nn.grad_check(loss, flat_p, flat_g) <= 1e-5
 
 
@@ -635,51 +643,58 @@ class TestBigru:
     def test_output_shapes(self):
         rng = np.random.default_rng(27)
         p = nn.init_bigru(rng, 4, 6)
-        ys, final, _ = nn.bigru_forward(rng.standard_normal((9, 4)), p)
-        assert ys.shape == (9, 12)
+        final, _ = nn.bigru_forward(rng.standard_normal((9, 4)), **p)
         assert final.shape == (12,)
 
     def test_backward_direction_is_reversed_forward(self):
+        # the backward half after reading xs[i:] from the end is the forward
+        # GRU's state on that suffix reversed, for every i
         rng = np.random.default_rng(28)
         p = nn.init_bigru(rng, 4, 6)
         xs = rng.standard_normal((7, 4))
-        ys, final, _ = nn.bigru_forward(xs, p)
-        rev_states, rev_final, _ = nn.gru_sequence_forward(xs[::-1], p["bwd"])
-        np.testing.assert_allclose(ys[:, 6:], rev_states[::-1], atol=1e-12)
-        np.testing.assert_allclose(final[6:], rev_final, atol=1e-12)
+        for i in range(7):
+            final, _ = nn.bigru_forward(xs[i:], **p)
+            rev_final, _ = nn.gru_sequence_forward(xs[i:][::-1], p["bwd"])
+            np.testing.assert_allclose(final[6:], rev_final, rtol=0, atol=1e-12)
 
     def test_final_state_concatenates_ends(self):
         rng = np.random.default_rng(29)
         p = nn.init_bigru(rng, 3, 5)
         xs = rng.standard_normal((6, 3))
-        ys, final, _ = nn.bigru_forward(xs, p)
-        np.testing.assert_allclose(final[:5], ys[-1, :5], atol=1e-12)
-        np.testing.assert_allclose(final[5:], ys[0, 5:], atol=1e-12)
+        final, _ = nn.bigru_forward(xs, **p)
+        np.testing.assert_allclose(final[:5], gru_oracle_states(xs, p["fwd"])[-1],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final[5:],
+                                   gru_oracle_states(xs[::-1], p["bwd"])[-1],
+                                   rtol=0, atol=1e-12)
 
     def test_single_step(self):
+        # one step: both directions read the same input from a zero state
         rng = np.random.default_rng(30)
         p = nn.init_bigru(rng, 3, 5)
-        ys, final, _ = nn.bigru_forward(rng.standard_normal((1, 3)), p)
-        np.testing.assert_allclose(ys[0], final, atol=1e-12)
+        xs = rng.standard_normal((1, 3))
+        final, _ = nn.bigru_forward(xs, **p)
+        np.testing.assert_allclose(final, np.concatenate(
+            [gru_oracle_states(xs, p[d])[0] for d in ("fwd", "bwd")]),
+            rtol=0, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(31)
         with pytest.raises(InvalidInputError):
-            nn.bigru_forward(np.zeros((0, 3)), nn.init_bigru(rng, 3, 5))
+            nn.bigru_forward(np.zeros((0, 3)), **nn.init_bigru(rng, 3, 5))
 
     def test_sequence_gradients(self):
         rng = np.random.default_rng(32)
         p = nn.init_bigru(rng, 3, 4)
         xs = rng.standard_normal((3, 3))
-        ys, final, cache = nn.bigru_forward(xs, p)
-        cys = rng.standard_normal(ys.shape)
+        final, cache = nn.bigru_forward(xs, **p)
         cf = rng.standard_normal(final.shape)
 
         def loss():
-            out, fin, _ = nn.bigru_forward(xs, p)
-            return float(np.sum(out * cys) + np.sum(fin * cf))
+            fin, _ = nn.bigru_forward(xs, **p)
+            return float(np.sum(fin * cf))
 
-        dxs, grads = nn.bigru_backward(cys, cf, cache, p)
+        dxs, grads = nn.bigru_backward(cf, cache)
         arrays = {"x": xs}
         analytic = {"x": dxs}
         for d in ("fwd", "bwd"):
@@ -687,6 +702,16 @@ class TestBigru:
                 arrays[f"{d}.{k}"] = p[d][k]
                 analytic[f"{d}.{k}"] = grads[d][k]
         assert nn.grad_check(loss, arrays, analytic) <= 1e-4
+
+
+class TestKernelConvention:
+    def test_every_backward_takes_dy_and_cache(self):
+        backward = [name for name in dir(nn) if name.endswith("_backward")
+                    and hasattr(nn, name[: -len("backward")] + "forward")]
+        assert len(backward) == 9
+        for name in backward:
+            params = list(inspect.signature(getattr(nn, name)).parameters)
+            assert params == ["dy", "cache"], name
 
 
 class TestXavierInit:

@@ -3,9 +3,13 @@ the tests, every settable value in it is set by one, and one module owns
 the CSV dialect.
 
 A name counts as used when src/ or perfbench/ refers to it anywhere but in its
-own definition: as a name, an attribute, an import, or a string (perfbench
-reaches the functions it wraps through getattr). The package's own re-exports
-in __init__.py do not count, so exporting a helper does not keep it alive.
+own definition: as a name, an attribute or an import. A string counts only in
+perfbench/, which reaches the functions it wraps through getattr; inside src/
+strings are kernel names and keys. A perfbench name does not count in a file
+that defines a function or class of that name itself, so the benchmark's own
+reference code keeps no program function alive. The package's own
+re-exports in __init__.py do not count, so exporting a helper does not keep
+it alive.
 """
 
 import ast
@@ -31,14 +35,14 @@ def _definitions():
                 yield path.stem, stmt.name
 
 
-def _referenced_name(node):
+def _referenced_name(node, strings=True):
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.alias):
         return node.name
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value if node.value.isidentifier() else None
     return None
 
@@ -50,13 +54,18 @@ def _references():
     paths += sorted((ROOT / "perfbench").glob("*.py"))
     for path in paths:
         in_package = path.parent == PACKAGE
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a perfbench file's bare names may be its own definitions
+        own = set() if in_package else {node.name for node in ast.walk(tree)
+                                        if isinstance(node, DEFINITIONS)}
+        for stmt in tree.body:
             owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
             for node in ast.walk(stmt):
-                name = _referenced_name(node)
-                if name is not None:
-                    site = (path.stem if in_package else None, owner)
-                    refs.setdefault(name, set()).add(site)
+                name = _referenced_name(node, strings=not in_package)
+                if name is None or (isinstance(node, ast.Name) and name in own):
+                    continue
+                site = (path.stem if in_package else None, owner)
+                refs.setdefault(name, set()).add(site)
     return refs
 
 
@@ -104,8 +113,6 @@ DEFAULT_ONLY = {
                                   "model gradient test samples entries",
     "nn.grad_check(rng)": "grad_check has no program caller; the model "
                           "gradient test seeds the sampled entries",
-    "nn.gru_sequence_forward(h0)": "the GRU oracle tests start from a "
-                                   "non-zero state",
     "model.init_rene(n_mels)": "the 5-mel test models and pinned digests",
     "model.estimate_parameter_count(n_mels)": "the 5-mel test models",
 }
