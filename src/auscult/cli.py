@@ -43,7 +43,7 @@ from .model import (
     rene_apply,
     save_model_config,
 )
-from .nn import flatten_params, load_params, save_params
+from .nn import load_params, save_params
 from .stream import (
     SessionConfig,
     replay_offline,
@@ -111,7 +111,7 @@ def cmd_train(args):
         seed=args.seed,
     )
     params, trace = train_toy(dataset, model_cfg, train_cfg)
-    save_params(args.out, flatten_params(params))
+    save_params(args.out, params)
     if args.config_out:
         save_model_config(args.config_out, model_cfg)
     if args.trace:
@@ -179,23 +179,23 @@ def cmd_smote(args):
     names = _features_list(args.features)
     table, matrix = _emr_features(args.emr, names)
     labels = table.label_column(args.label)
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
+    codes, classes = emr_mod.label_encode(labels)
+    counts = np.bincount(codes)
     minority = args.minority
     if not minority:
-        # the smallest class SMOTE can oversample: more rows than neighbours
-        usable = [c for c in counts if counts[c] > args.k_neighbors]
-        if not usable:
+        # the smallest class with more rows than neighbours; ties to the first
+        usable = np.flatnonzero(counts > args.k_neighbors)
+        if not usable.size:
             raise InvalidInputError(
                 f"no class has more than --k-neighbors={args.k_neighbors} "
-                f"rows; class counts {counts}")
-        minority = min(usable, key=lambda c: (counts[c], c))
-    if minority not in counts:
+                f"rows; class counts {dict(zip(classes, counts.tolist()))}")
+        minority = classes[usable[counts[usable].argmin()]]
+    if minority not in classes:
         raise InvalidInputError(f"label {minority!r} not present")
-    need = max(counts.values()) - counts[minority]
+    code = classes.index(minority)
+    need = counts.max() - counts[code]
     z, mean, std = emr_mod.zscore(matrix)
-    rows = z[np.array([lab == minority for lab in labels])]
+    rows = z[codes == code]
     synthetic = emr_mod.smote_oversample(
         rows, n_synthetic=need, k_neighbors=args.k_neighbors, seed=args.seed
     )

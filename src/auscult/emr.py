@@ -156,43 +156,37 @@ def zscore(points: np.ndarray):
 # ------------------------------------------------------------ label encoding
 
 def label_encode(values):
-    """Distinct values sorted lexicographically -> codes 0..m-1 and mapping."""
-    values = list(values)
-    if not values:
+    """Distinct values sorted lexicographically -> codes 0..m-1 and mapping.
+    Object, not fixed-width, strings: NumPy's would drop a trailing NUL."""
+    classes, codes = np.unique(np.array(values, dtype=object), return_inverse=True)
+    if not codes.size:
         raise InvalidInputError("cannot encode an empty column")
-    classes = sorted(set(values))
-    index = {v: i for i, v in enumerate(classes)}
-    codes = np.array([index[v] for v in values], dtype=np.int64)
-    return codes, classes
+    return codes.astype(np.int64), classes.tolist()
 
 
 # ---------------------------------------------------------------- correlation
 
-def pearson(x, y) -> float:
-    """Sample covariance over the product of sample deviations (shared ddof)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise InvalidInputError("pearson needs two equal-length columns (n >= 2)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = x - x.mean()
-        dy = y - y.mean()
-        sx = np.sqrt((dx**2).sum())
-        sy = np.sqrt((dy**2).sum())
-    if not (np.isfinite(sx) and np.isfinite(sy)):
-        raise NonFiniteError("columns must be finite and small enough to square")
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("constant column has no defined correlation")
-    return float((dx * dy).sum() / (sx * sy))
-
-
 def correlation_matrix(data) -> np.ndarray:
-    """(d, d) Pearson correlations between the columns of an (n, d) matrix."""
+    """(d, d) Pearson correlations between the columns of an (n, d) matrix:
+    sample covariance over the product of sample deviations. Each column is
+    centred and normed once; row i's upper pairs are one product."""
     m = data.shape[1]
     out = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[i, j] = out[j, i] = pearson(data[:, i], data[:, j])
+    if m < 2:
+        return out
+    if data.shape[0] < 2:
+        raise InvalidInputError("correlation needs n >= 2 rows")
+    dev = np.array(data.T, dtype=np.float64, order="C")  # one column a row
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev -= dev.mean(axis=1, keepdims=True)
+        norms = np.sqrt((dev**2).sum(axis=1))
+    if not np.all(np.isfinite(norms)):
+        raise NonFiniteError("columns must be finite and small enough to square")
+    if (norms == 0.0).any():
+        raise UndefinedCorrelationError("constant column has no defined correlation")
+    for i in range(m - 1):
+        out[i, i + 1:] = out[i + 1:, i] = (
+            (dev[i] * dev[i + 1:]).sum(axis=1) / (norms[i] * norms[i + 1:]))
     return out
 
 
@@ -430,13 +424,10 @@ def cluster_summary(table: EmrTable, model: ClusterModel):
             values = table.columns[name][member]
             row[f"mean_{name}"] = float(values.mean()) if count else float("nan")
         for name in table.categorical_names():
-            values = [v for v, m in zip(table.columns[name], member) if m]
-            if values:
-                uniq, counts = np.unique(values, return_counts=True)
-                # ties resolve to the lexicographically smallest value
-                row[f"mode_{name}"] = str(uniq[counts.argmax()])
-            else:
-                row[f"mode_{name}"] = ""
+            # the mode; ties resolve to the lexicographically smallest value
+            uniq, tally = np.unique(np.asarray(table.columns[name])[member],
+                                    return_counts=True)
+            row[f"mode_{name}"] = str(uniq[tally.argmax()]) if count else ""
         rows.append(row)
     rows.sort(key=lambda r: (-r["count"], r["cluster"]))
     return rows

@@ -46,10 +46,6 @@ class AudioSignal:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate
-
 
 class FrontendConfig:
     """The front end's settings: one value each, so class constants."""

@@ -62,24 +62,6 @@ class ConfusionCounts:
         if (correct < 0).any() or (correct > totals).any():
             raise InvalidInputError("need 0 <= correct <= total per class")
 
-    @property
-    def adventitious_correct(self) -> int:
-        mask = np.arange(len(self.correct)) != self.normal_class
-        return int(self.correct[mask].sum())
-
-    @property
-    def adventitious_total(self) -> int:
-        mask = np.arange(len(self.totals)) != self.normal_class
-        return int(self.totals[mask].sum())
-
-    @property
-    def normal_correct(self) -> int:
-        return int(self.correct[self.normal_class])
-
-    @property
-    def normal_total(self) -> int:
-        return int(self.totals[self.normal_class])
-
 
 # the CSV header over TaskMetrics.cells()
 METRIC_COLUMNS = ["se", "sp", "as", "hs", "score"]
@@ -138,12 +120,13 @@ def confusion_counts(predictions, truths, normal_class: int) -> ConfusionCounts:
 
 
 def compute_metrics(counts: ConfusionCounts) -> TaskMetrics:
-    n_adv = counts.adventitious_total
-    n_norm = counts.normal_total
+    adventitious = np.arange(len(counts.totals)) != counts.normal_class
+    n_adv = int(counts.totals[adventitious].sum())
+    n_norm = int(counts.totals[counts.normal_class])
     if n_adv == 0 or n_norm == 0:
         raise InvalidInputError("metrics need adventitious and normal samples")
-    se = counts.adventitious_correct / n_adv
-    sp = counts.normal_correct / n_norm
+    se = int(counts.correct[adventitious].sum()) / n_adv
+    sp = int(counts.correct[counts.normal_class]) / n_norm
     as_score = (se + sp) / 2.0
     hs = 0.0 if se + sp == 0.0 else 2.0 * se * sp / (se + sp)
     final = (as_score + hs) / 2.0

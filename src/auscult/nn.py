@@ -378,10 +378,10 @@ def gru_sequence_backward(dy, cache):
     g_u = np.stack([g_z, g_r, g_n * r], axis=1)           # (T, 3, H)
     u_t = _gru_stack(params, "u").T
     dh_steps = np.empty((t, hidden))
-    dh = np.array(dy, dtype=np.float64)
-    for i in reversed(range(t)):
-        dh_steps[i] = dh
-        dh = dh * z[i] + (g_u[i] * dh).reshape(-1) @ u_t
+    dh_steps[-1] = dy
+    for i in range(t - 1, 0, -1):  # the zero start state takes no gradient
+        dh = dh_steps[i]
+        dh_steps[i - 1] = dh * z[i] + (g_u[i] * dh).reshape(-1) @ u_t
     d_u = (g_u * dh_steps[:, None, :]).reshape(t, 3 * hidden)
     d_a = d_u.copy()
     d_a[:, 2 * hidden :] = dh_steps * g_n

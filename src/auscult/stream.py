@@ -34,6 +34,13 @@ POLL_S = 0.0005
 STALL_S = 5.0
 
 
+def _whole(count: float, what: str) -> int:
+    """`count` as an int, refused unless it is a whole number of at least 1."""
+    if round(count) < 1 or abs(count - round(count)) > 1e-9:
+        raise InvalidInputError(f"{what} is {count:g}, not a whole number >= 1")
+    return int(round(count))
+
+
 class RingBuffer:
     """Fixed-capacity circular store of float32 samples with an absolute,
     monotonically increasing write cursor. Raises InvalidInputError when the
@@ -42,7 +49,6 @@ class RingBuffer:
     def __init__(self, sample_rate: int, buffer_min: float = 60.0):
         if sample_rate <= 0 or not 0.0 < buffer_min < np.inf:
             raise InvalidInputError("need sample_rate > 0 and a finite buffer_min > 0")
-        self.sample_rate = sample_rate
         self.capacity = int(round(buffer_min * 60.0 * sample_rate))
         self.unit_samples = int(round(sample_rate * SessionConfig.frame_unit_ms
                                       / 1000.0))
@@ -122,9 +128,10 @@ class SessionConfig:
         # the snapshot stability check once the writer wraps
         if self.window_s + self.frame_unit_ms / 1000.0 > self.buffer_min * 60.0:
             raise InvalidInputError("window exceeds buffer length")
-        units = self.window_s * 1000.0 / self.frame_unit_ms
-        if round(units) < 1 or abs(units - round(units)) > 1e-9:
-            raise InvalidInputError("window must be one or more whole frame units")
+        for name, seconds in (("window_s", self.window_s),
+                              ("buffer_min", self.buffer_min * 60.0)):
+            _whole(seconds * 1000.0 / self.frame_unit_ms,
+                   f"{name} in {self.frame_unit_ms:g} ms units")
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,9 @@ def _event_maker(cfg: SessionConfig, sr: int, window: int, params, model_cfg,
 
 def _session_plan(cfg: SessionConfig, signal: AudioSignal):
     sr = signal.sample_rate
-    unit = int(round(sr * cfg.frame_unit_ms / 1000.0))
+    # the ring holds whole units of whole samples: refuse what it would
+    unit = _whole(sr * cfg.frame_unit_ms / 1000.0,
+                  f"samples per {cfg.frame_unit_ms:g} ms unit at {sr} Hz")
     window = int(round(sr * cfg.window_s))
     n_units = len(signal) // unit
     total_windows = (n_units * unit) // window

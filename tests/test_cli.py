@@ -534,15 +534,18 @@ class TestStreamCommands:
         assert code == 2
         assert f"record payload truncated (at byte offset {len(raw)})" in capsys.readouterr().err
 
-    # a window shorter than one 10 ms unit rounds to no samples at all, and
-    # at a rate factor of 1e-9 each unit would take 2e7 s to arrive
+    # a window shorter than one 10 ms unit rounds to no samples at all, at
+    # a rate factor of 1e-9 each unit would take 2e7 s to arrive, and
+    # 1.23456 min is 7407.36 units of 10 ms (1.2345 would be 7407)
     @pytest.mark.parametrize("command, flag, value", [
         ("replay", "--window-s", "nan"), ("replay", "--buffer-min", "nan"),
         ("stream", "--rate-factor", "nan"), ("replay", "--window-s", "1e-12"),
-        ("stream", "--window-s", "1e-12"), ("stream", "--rate-factor", "1e-9")],
+        ("stream", "--window-s", "1e-12"), ("stream", "--rate-factor", "1e-9"),
+        ("replay", "--buffer-min", "1.23456"), ("stream", "--buffer-min", "1.23456")],
         ids=["replay---window-s", "replay---buffer-min", "stream---rate-factor",
              "replay---window-s-tiny", "stream---window-s-tiny",
-             "stream---rate-factor-tiny"])
+             "stream---rate-factor-tiny", "replay---buffer-min-fraction",
+             "stream---buffer-min-fraction"])
     def test_non_finite_session_value_exits_two(self, tmp_path, model_files,
                                                  command, flag, value):
         params_path, config_path = model_files

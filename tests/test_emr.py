@@ -26,7 +26,6 @@ from auscult.emr import (
     impute_median,
     kmeans_fit,
     label_encode,
-    pearson,
     read_emr_csv,
     select_k,
     silhouette,
@@ -135,6 +134,43 @@ class TestLabelEncode:
         with pytest.raises(InvalidInputError):
             label_encode([])
 
+    def test_matches_sorted_set_codes(self):
+        # the codes a sorted set of the labels gives, on random label lists;
+        # "a" and "a\x00" stay two classes, as they are in a sorted set
+        rng = np.random.default_rng(31)
+        alphabet = ["", "a", "a\x00", "b", "B", "ab", "a b", "é", "z" * 40, "10", "9"]
+        for _ in range(400):
+            # indices, not rng.choice(alphabet), which would drop the NUL
+            pool = [alphabet[i] for i in rng.permutation(len(alphabet))
+                    [:int(rng.integers(1, len(alphabet) + 1))]]
+            values = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 60)))]
+            classes = sorted(set(values))
+            codes, got = label_encode(values)
+            assert got == classes and all(type(c) is str for c in got)
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, [classes.index(v) for v in values])
+
+
+def pearson(x, y):
+    """One correlation of two columns of correlation_matrix."""
+    return correlation_matrix(np.column_stack([x, y]).astype(np.float64))[0, 1]
+
+
+def pairwise_correlation_matrix(data):
+    """correlation_matrix as first written: one centring and one norm per
+    column per pair."""
+    m = data.shape[1]
+    out = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            x, y = data[:, i], data[:, j]
+            dx = x - x.mean()
+            dy = y - y.mean()
+            sx = np.sqrt((dx**2).sum())
+            sy = np.sqrt((dy**2).sum())
+            out[i, j] = out[j, i] = float((dx * dy).sum() / (sx * sy))
+    return out
+
 
 class TestPearson:
     def test_perfect_positive(self):
@@ -169,11 +205,6 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
     @pytest.mark.parametrize("x", [[1e200, 0.0, 1.0], [1e308, 1e308, 0.0], [np.nan, 0.0, 1.0]])
     def test_overflow_or_nan_rejected(self, x):
         with pytest.raises(NonFiniteError):
@@ -192,8 +223,39 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(m, m.T)
         np.testing.assert_allclose(np.diag(m), 1.0)
         assert m[0, 1] == pytest.approx(
-            pearson(table.columns["a"], table.columns["b"])
+            np.corrcoef(table.columns["a"], table.columns["b"])[0, 1], abs=1e-12
         )
+
+    def test_keeps_the_pairwise_arithmetic(self):
+        rng = np.random.default_rng(32)
+        for table in range(300):
+            n, d = int(rng.integers(2, 2000)), int(rng.integers(1, 10))
+            data = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+            data += rng.standard_normal(d) * 10.0 ** rng.integers(-2, 5)
+            if table % 4 == 0:
+                data = np.round(data)  # repeated values and ties
+                data[:2] = [[0.0] * d, [1.0] * d]  # no column is constant
+            fast = correlation_matrix(data)
+            assert np.array_equal(fast, pairwise_correlation_matrix(data))
+
+    def test_leaves_its_input_alone(self):
+        data = np.asfortranarray(np.random.default_rng(33).standard_normal((20, 3)))
+        before = data.copy()
+        correlation_matrix(data)
+        assert np.array_equal(data, before)
+
+    def test_one_column_is_unchecked(self):
+        assert correlation_matrix(np.array([[np.nan]])).tolist() == [[1.0]]
+        assert correlation_matrix(np.full((4, 1), 3.0)).tolist() == [[1.0]]
+
+    def test_one_row_rejected(self):
+        with pytest.raises(InvalidInputError):
+            correlation_matrix(np.array([[1.0, 2.0]]))
+
+    def test_later_constant_column_rejected(self):
+        data = np.column_stack([np.arange(5.0), np.arange(5.0) ** 2, np.ones(5)])
+        with pytest.raises(UndefinedCorrelationError):
+            correlation_matrix(data)
 
     def test_csv_round_trip(self, tmp_path):
         table = EmrTable(columns={

@@ -116,9 +116,14 @@ class TestConfusionCounts:
     def test_hand_tally(self):
         # truths:      0 0 1 1 2 2   (normal=0)
         # predictions: 0 1 1 2 2 2
+        # normal 1 of 2 correct, adventitious 3 of 4
         counts = confusion_counts([0, 1, 1, 2, 2, 2], [0, 0, 1, 1, 2, 2], 0)
-        assert counts.normal_correct == 1 and counts.normal_total == 2
-        assert counts.adventitious_correct == 3 and counts.adventitious_total == 4
+        m = compute_metrics(counts)
+        assert (m.se, m.sp) == (3 / 4, 1 / 2)
+        # the same tallies with class 2 as the normal one: 2 of 2, 2 of 4
+        m = compute_metrics(confusion_counts([0, 1, 1, 2, 2, 2],
+                                             [0, 0, 1, 1, 2, 2], 2))
+        assert (m.se, m.sp) == (2 / 4, 2 / 2)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

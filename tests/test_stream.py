@@ -266,6 +266,47 @@ class TestReplayOffline:
         ]
 
 
+def noise_signal(seconds, sample_rate):
+    rng = np.random.default_rng(7)
+    return AudioSignal(rng.uniform(-0.5, 0.5, int(seconds * sample_rate)),
+                       sample_rate)
+
+
+def run_live(session, params, cfg):
+    return run_session(session, params, cfg)[0]
+
+
+class TestBothPathsTakeTheSameInputs:
+    """The replay refuses what the live ring would, before any decoding."""
+
+    @pytest.mark.parametrize("path", [run_live, replay_offline])
+    def test_unit_of_no_whole_samples_rejected(self, path):
+        # 10 ms at 11,025 Hz is 110.25 samples
+        cfg, params = toy_setup()
+        session = SessionConfig(source=noise_signal(21.0, 11025), rate_factor=400.0)
+        with pytest.raises(InvalidInputError, match="11025 Hz"):
+            path(session, params, cfg)
+
+    @pytest.mark.parametrize("path", [run_live, replay_offline])
+    def test_buffer_of_no_whole_units_rejected(self, path):
+        # 1.23456 min is 7407.36 units of 10 ms
+        cfg, params = toy_setup()
+        with pytest.raises(InvalidInputError, match="buffer_min"):
+            path(SessionConfig(source=noise_signal(21.0, 16000), rate_factor=400.0,
+                               buffer_min=1.23456), params, cfg)
+
+    def test_buffer_of_whole_units_runs_on_both(self):
+        # 1.2345 min is 7407 units of 10 ms
+        cfg, params = toy_setup()
+        session = SessionConfig(source=noise_signal(21.0, 16000), rate_factor=400.0,
+                                buffer_min=1.2345)
+        live = run_live(session, params, cfg)
+        oracle = replay_offline(session, params, cfg)
+        assert len(live) == len(oracle) == 2
+        for a, b in zip(live, oracle):
+            np.testing.assert_array_equal(a.probs.probs, b.probs.probs)
+
+
 class TestRunSession:
     def test_matches_replay(self):
         cfg, params = toy_setup()

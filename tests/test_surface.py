@@ -1,15 +1,17 @@
-"""Every module-level function and class in src/auscult has a caller outside
-the tests, every settable value in it is set by one, and one module owns
-the CSV dialect.
+"""Every module-level function and class in src/auscult, and every method and
+property of those classes, has a caller outside the tests, every settable
+value in it is set by one, and one module owns the CSV dialect.
 
 A name counts as used when src/ or perfbench/ refers to it anywhere but in its
-own definition: as a name, an attribute or an import. A string counts only in
-perfbench/, which reaches the functions it wraps through getattr; inside src/
-strings are kernel names and keys. A perfbench name does not count in a file
-that defines a function or class of that name itself, so the benchmark's own
-reference code keeps no program function alive. The package's own
-re-exports in __init__.py do not count, so exporting a helper does not keep
-it alive.
+own definition: as a name, an attribute or an import. A method or property is
+reached only as an attribute, so a bare name does not count for it; its
+sibling methods are outside it. Dunder methods are Python's to call and are
+not checked. A string counts only in perfbench/, which reaches the functions
+it wraps through getattr; inside src/ strings are kernel names and keys. A
+perfbench name does not count in a file that defines a function or class of
+that name itself, so the benchmark's own reference code keeps no program
+function alive. The package's own re-exports in __init__.py do not count, so
+exporting a helper does not keep it alive.
 """
 
 import ast
@@ -28,11 +30,34 @@ ACCEPTANCE_ONLY = {
 }
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
+    """(module, path) of each top-level definition and each method of a
+    top-level class; a path is ("f",), ("C",) or ("C", "method")."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, DEFINITIONS):
-                yield path.stem, stmt.name
+                yield path.stem, (stmt.name,)
+            if isinstance(stmt, ast.ClassDef):
+                for meth in stmt.body:
+                    if isinstance(meth, DEFINITIONS) and not _is_dunder(meth.name):
+                        yield path.stem, (stmt.name, meth.name)
+
+
+def _owned_nodes(stmt):
+    """(owner path, node) for every node of a top-level statement: the
+    owner is the enclosing definition, down to a top-level class's methods."""
+    top = (stmt.name,) if isinstance(stmt, DEFINITIONS) else ()
+    inner = {}
+    if isinstance(stmt, ast.ClassDef):
+        for meth in stmt.body:
+            if isinstance(meth, DEFINITIONS):
+                inner.update((id(node), top + (meth.name,)) for node in ast.walk(meth))
+    for node in ast.walk(stmt):
+        yield inner.get(id(node), top), node
 
 
 def _referenced_name(node, strings=True):
@@ -48,7 +73,8 @@ def _referenced_name(node, strings=True):
 
 
 def _references():
-    """name -> set of (module, enclosing top-level definition or None)."""
+    """name -> set of (module or None, owner path of the referring code,
+    whether the reference can reach a member: an attribute or a string)."""
     refs = {}
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
@@ -59,20 +85,23 @@ def _references():
         own = set() if in_package else {node.name for node in ast.walk(tree)
                                         if isinstance(node, DEFINITIONS)}
         for stmt in tree.body:
-            owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
-            for node in ast.walk(stmt):
+            for owner, node in _owned_nodes(stmt):
                 name = _referenced_name(node, strings=not in_package)
                 if name is None or (isinstance(node, ast.Name) and name in own):
                     continue
-                site = (path.stem if in_package else None, owner)
+                site = (path.stem if in_package else None, owner,
+                        isinstance(node, (ast.Attribute, ast.Constant)))
                 refs.setdefault(name, set()).add(site)
     return refs
 
 
 def _unused():
+    """Dotted paths of the definitions that nothing outside them refers to."""
     refs = _references()
-    return sorted(name for module, name in _definitions()
-                  if not refs.get(name, set()) - {(module, name)})
+    return sorted(".".join(path) for module, path in _definitions()
+                  if all((site_module == module and owner[:len(path)] == path)
+                         or (len(path) == 2 and not member)
+                         for site_module, owner, member in refs.get(path[-1], ())))
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
