@@ -89,10 +89,11 @@ class Manifest:
 
 # ----------------------------------------------------------------------- WAV
 
-def _need(data: bytes, offset: int, count: int, what: str) -> bytes:
+def _need(data: bytes, offset: int, count: int, what: str) -> memoryview:
+    """The `count` bytes at `offset`, as a view: the data chunk is not copied."""
     if offset + count > len(data):
         raise FormatError(f"truncated while reading {what}", offset=offset)
-    return data[offset:offset + count]
+    return memoryview(data)[offset:offset + count]
 
 
 def load_wav(path) -> AudioSignal:
@@ -145,7 +146,7 @@ def load_wav(path) -> AudioSignal:
 
     _, n_channels, sample_rate, _, _, _ = fmt
     raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-    samples = raw.astype(np.float64) / 32768.0
+    samples = raw / 32768.0  # int16 over a float: float64 in one pass
     if n_channels == 2:
         if len(samples) % 2:
             samples = samples[:-1]

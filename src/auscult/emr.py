@@ -424,9 +424,10 @@ def cluster_summary(table: EmrTable, model: ClusterModel):
             values = table.columns[name][member]
             row[f"mean_{name}"] = float(values.mean()) if count else float("nan")
         for name in table.categorical_names():
-            # the mode; ties resolve to the lexicographically smallest value
-            uniq, tally = np.unique(np.asarray(table.columns[name])[member],
-                                    return_counts=True)
+            # the mode over object strings, since a fixed-width array drops a
+            # trailing NUL; ties resolve to the lexicographically smallest value
+            column = np.array(table.columns[name], dtype=object)[member]
+            uniq, tally = np.unique(column, return_counts=True)
             row[f"mode_{name}"] = str(uniq[tally.argmax()]) if count else ""
         rows.append(row)
     rows.sort(key=lambda r: (-r["count"], r["cluster"]))

@@ -5,7 +5,8 @@ Every kernel, the GRU and BiGRU included, follows one convention:
 and returns the input gradient, followed, when the kernel has parameters, by
 a dict of gradients shaped exactly like them. There is no autodiff graph;
 these primitives are the whole differentiable surface. Parameter sets are
-plain dicts of numpy arrays, treated as immutable once built.
+plain dicts of numpy arrays, treated as immutable once built; the leaves
+of a loaded tree are read-only views of its file.
 
 Leaves may be float32 (`load_params` keeps a record's stored width) or
 float64; the arithmetic is float64 either way. Each kernel meets a weight with
@@ -18,8 +19,8 @@ that BLAS sums in another order.
 from __future__ import annotations
 
 import functools
-import io
 import math
+import mmap
 import os
 import stat
 import struct
@@ -536,43 +537,77 @@ def unflatten_params(flat):
 
 def save_params(path, params):
     """Single binary file: magic, u32 version, then little-endian records of
-    (u32 name length, utf-8 name, u8 dtype tag, u8 rank, u32 dims, payload)."""
+    (u32 name length, utf-8 name, u8 dtype tag, u8 rank, u32 dims, payload).
+
+    A regular file, or a new one, is written to a temporary file beside it
+    and renamed over it, so a tree that `load_params` mapped from the old file
+    keeps its values; the temporary file is removed if the write fails. A path
+    that exists and is not a regular file, such as a pipe, is written in
+    place. A symbolic link is followed, as opening the path would."""
     flat = flatten_params(params)
-    with open(path, "wb") as fh:
-        fh.write(PARAMS_MAGIC)
-        fh.write(struct.pack("<I", PARAMS_VERSION))
-        for name in sorted(flat):
-            arr = flat[name]
-            tag = _DTYPE_TO_TAG.get(arr.dtype, 1)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", tag, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]).tobytes())
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "wb") as fh:
+            _write_params(fh, flat)
+        return
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")  # fails before there is anything to remove
+    try:
+        with fh:
+            _write_params(fh, flat)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_params(fh, flat):
+    fh.write(PARAMS_MAGIC)
+    fh.write(struct.pack("<I", PARAMS_VERSION))
+    for name in sorted(flat):
+        arr = flat[name]
+        tag = _DTYPE_TO_TAG.get(arr.dtype, 1)
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<BB", tag, arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]).tobytes())
 
 
 def load_params(path):
     """Read a `save_params` file into a tree whose leaves keep their records'
     stored dtype (float32 or float64); the kernels widen a float32 weight
-    where they use it. A regular file is read one record at a time into the
-    leaf it becomes, so nothing besides the tree is held; a pipe, whose size
-    is unknown until its end, is read whole."""
+    where they use it. A regular file is mapped read-only and each leaf is a
+    view into the mapping, so no payload is copied; a pipe, whose size is
+    unknown until its end, or an empty file is read whole. Either way the
+    leaves are read-only.
+
+    The mapping shows later writes to the file, and reading a leaf faults
+    once the file is truncated under it; `save_params` replaces a file
+    instead of rewriting it for that reason."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            return _read_params(fh, info.st_size)
-        blob = fh.read()
-    return _read_params(io.BytesIO(blob), len(blob))
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            buf = fh.read()
+    return _parse_params(memoryview(buf))
 
 
-def _read_params(fh, size):
-    head = fh.read(8)
-    if head[:4] != PARAMS_MAGIC:
+def _parse_params(buf):
+    size = len(buf)
+    if buf[:4] != PARAMS_MAGIC:
         raise FormatError("bad parameter-file magic", offset=0)
-    if len(head) < 8:
+    if size < 8:
         raise FormatError("truncated header", offset=4)
-    (version,) = struct.unpack_from("<I", head, 4)
+    (version,) = struct.unpack_from("<I", buf, 4)
     if version != PARAMS_VERSION:
         raise FormatError(f"unsupported format version {version}", offset=4)
 
@@ -580,36 +615,32 @@ def _read_params(fh, size):
     pos = 8
     while pos < size:
         start = pos
+        # each field is unpacked from a slice, which a field running past the
+        # end leaves short, so struct names the bytes the field needed
         try:
-            (name_len,) = struct.unpack("<I", fh.read(4))
+            (name_len,) = struct.unpack("<I", buf[pos:pos + 4])
             pos += 4
-            # a name running past the end is read short and fails below
-            raw = fh.read(min(name_len, size - pos))
             try:
-                name = raw.decode("utf-8")
+                name = str(buf[pos:pos + name_len], "utf-8")
             except UnicodeDecodeError:
                 raise FormatError("record name is not UTF-8", offset=pos) from None
             pos += name_len
-            tag, rank = struct.unpack("<BB", fh.read(2))
+            tag, rank = struct.unpack("<BB", buf[pos:pos + 2])
             pos += 2
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+            dims = struct.unpack(f"<{rank}I", buf[pos:pos + 4 * rank])
             pos += 4 * rank
         except struct.error as exc:
             raise FormatError(f"malformed record: {exc}", offset=start) from None
         if tag not in _TAG_TO_DTYPE:
             raise FormatError(f"unknown dtype tag {tag}", offset=start)
         dtype = np.dtype(_TAG_TO_DTYPE[tag])
-        count = math.prod(dims)
-        nbytes = count * dtype.itemsize
-        # checked before anything is allocated for the payload
+        nbytes = math.prod(dims) * dtype.itemsize
         if pos + nbytes > size:
             raise FormatError("record payload truncated", offset=start)
         try:
-            arr = np.empty(dims, dtype=dtype)
+            arr = np.frombuffer(buf[pos:pos + nbytes], dtype=dtype).reshape(dims)
         except ValueError:  # an empty shape whose other dims overflow
             raise FormatError(f"record dims {dims} too large", offset=start) from None
-        if fh.readinto(arr) != nbytes:
-            raise FormatError("record payload truncated", offset=start)
         pos += nbytes
         if name in flat:
             raise FormatError(f"record {name!r} repeats", offset=start)

@@ -41,19 +41,27 @@ def _whole(count: float, what: str) -> int:
     return int(round(count))
 
 
+def _unit_samples(sample_rate: int) -> int:
+    """Samples in one frame unit, refused unless a whole number: the ring
+    holds whole units of whole samples."""
+    unit_ms = SessionConfig.frame_unit_ms
+    return _whole(sample_rate * unit_ms / 1000.0,
+                  f"samples per {unit_ms:g} ms unit at {sample_rate} Hz")
+
+
 class RingBuffer:
     """Fixed-capacity circular store of float32 samples with an absolute,
-    monotonically increasing write cursor. Raises InvalidInputError when the
-    store cannot be allocated."""
+    monotonically increasing write cursor. Raises InvalidInputError when a
+    frame unit or the capacity is not a whole number of samples or units, or
+    when the store cannot be allocated."""
 
     def __init__(self, sample_rate: int, buffer_min: float = 60.0):
         if sample_rate <= 0 or not 0.0 < buffer_min < np.inf:
             raise InvalidInputError("need sample_rate > 0 and a finite buffer_min > 0")
-        self.capacity = int(round(buffer_min * 60.0 * sample_rate))
-        self.unit_samples = int(round(sample_rate * SessionConfig.frame_unit_ms
-                                      / 1000.0))
-        if self.unit_samples < 1 or self.capacity % self.unit_samples != 0:
-            raise InvalidInputError("capacity must be a whole number of units")
+        unit_ms = SessionConfig.frame_unit_ms
+        self.unit_samples = _unit_samples(sample_rate)
+        self.capacity = self.unit_samples * _whole(
+            buffer_min * 60.0 * 1000.0 / unit_ms, f"buffer_min in {unit_ms:g} ms units")
         try:
             self._data = np.zeros(self.capacity, dtype=np.float32)
         except MemoryError:
@@ -187,9 +195,7 @@ def _event_maker(cfg: SessionConfig, sr: int, window: int, params, model_cfg,
 
 def _session_plan(cfg: SessionConfig, signal: AudioSignal):
     sr = signal.sample_rate
-    # the ring holds whole units of whole samples: refuse what it would
-    unit = _whole(sr * cfg.frame_unit_ms / 1000.0,
-                  f"samples per {cfg.frame_unit_ms:g} ms unit at {sr} Hz")
+    unit = _unit_samples(sr)
     window = int(round(sr * cfg.window_s))
     n_units = len(signal) // unit
     total_windows = (n_units * unit) // window

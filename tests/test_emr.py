@@ -581,6 +581,18 @@ class TestClusterSummary:
         rows = cluster_summary(table, model)
         assert rows[0]["mode_sex"] == "F"
 
+    def test_mode_keeps_a_trailing_nul(self):
+        table = EmrTable(columns={"tag": ["a\x00", "a\x00", "a"]})
+        model = ClusterModel(
+            k=1,
+            centroids=np.zeros((1, 1)),
+            assignments=np.array([0, 0, 0]),
+            inertia=0.0,
+            silhouette_mean=0.0,
+        )
+        rows = cluster_summary(table, model)
+        assert rows[0]["mode_tag"] == "a\x00"
+
     def test_csv_export(self, tmp_path):
         table = self.make_table()
         model = ClusterModel(

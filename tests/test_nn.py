@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import stat
 import struct
 import threading
 import tracemalloc
@@ -830,6 +831,81 @@ class TestParamsIo:
         assert not writer.is_alive()
         for name, arr in nn.flatten_params(params).items():
             np.testing.assert_array_equal(nn.flatten_params(back)[name], arr)
+
+    def test_loaded_leaves_are_read_only(self, tmp_path):
+        path = tmp_path / "model.params"
+        nn.save_params(path, self._params())
+        back = nn.flatten_params(nn.load_params(path))
+        assert back and not any(arr.flags.writeable for arr in back.values())
+        with pytest.raises(ValueError, match="read-only"):
+            back["enc.w"][0, 0] = 1.0
+
+    def test_loaded_tree_survives_a_save_over_its_file(self, tmp_path):
+        params = self._params()
+        path = tmp_path / "model.params"
+        nn.save_params(path, params)
+        back = nn.load_params(path)
+        other = {k: v + 1.0 for k, v in nn.flatten_params(params).items()}
+        other["extra"] = np.zeros(4096)  # a longer file, not just new values
+        nn.save_params(path, other)
+        for name, arr in nn.flatten_params(params).items():
+            np.testing.assert_array_equal(nn.flatten_params(back)[name], arr)
+        np.testing.assert_array_equal(nn.load_params(path)["extra"], other["extra"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.params"]
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "model.params"
+        nn.save_params(path, self._params())
+        before = path.read_bytes()
+        # the second record cannot be stored as float64, after the first is written
+        with pytest.raises(ValueError):
+            nn.save_params(path, {"a": np.zeros(3), "b": np.array(["x"])})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.params"]
+
+    def test_save_keeps_the_mode_and_follows_a_link(self, tmp_path):
+        target = tmp_path / "model.params"
+        nn.save_params(target, self._params())
+        target.chmod(0o640)
+        link = tmp_path / "current.params"
+        link.symlink_to(target.name)
+        nn.save_params(link, {"w": np.ones(2)})
+        assert link.is_symlink() and stat.S_IMODE(target.stat().st_mode) == 0o640
+        np.testing.assert_array_equal(nn.load_params(target)["w"], np.ones(2))
+
+    def test_save_to_a_pipe_writes_in_place(self, tmp_path):
+        params = self._params()
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        got = {}
+        reader = threading.Thread(target=lambda: got.update(tree=nn.load_params(fifo)),
+                                  daemon=True)
+        reader.start()
+        nn.save_params(fifo, params)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        for name, arr in nn.flatten_params(params).items():
+            np.testing.assert_array_equal(nn.flatten_params(got["tree"])[name], arr)
+
+    def test_mapped_load_copies_no_payload(self, tmp_path):
+        rng = np.random.default_rng(48)
+        params = {f"w{i:02d}": rng.standard_normal(32768).astype(np.float32)
+                  for i in range(64)}
+        path = tmp_path / "f32.params"
+        nn.save_params(path, params)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = nn.load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the leaves are views of the mapped file; a copy of any one leaf
+        # (128 KiB) would break this bound
+        assert peak < 0.01 * size
+        for name, arr in params.items():
+            np.testing.assert_array_equal(back[name], arr)
 
 
 def params_record(name: bytes, tag: int, dims, payload: bytes, name_len=None):

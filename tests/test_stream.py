@@ -49,6 +49,11 @@ class TestRingBuffer:
         assert ring.unit_samples == 160
         assert ring.capacity % ring.unit_samples == 0
 
+    def test_fractional_unit_rejected(self):
+        # 16.5 samples a unit: rounding it to 16 would make 9.7 ms units
+        with pytest.raises(InvalidInputError, match="1650 Hz"):
+            RingBuffer(1650)
+
     def test_cursor_advances_by_unit(self):
         ring = RingBuffer(SR, buffer_min=0.1)
         for k, unit in enumerate(counter_units(5), start=1):
